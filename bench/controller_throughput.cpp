@@ -1,6 +1,6 @@
-// Benchmark of the ArrayController's two I/O paths: the per-block
-// read-modify-write pair (Table III's metric) versus the batched
-// stripe-aware planner behind the ranged read/write API. Measures MB/s
+// Benchmark of the ArrayController's stripe-aware planner called two
+// ways: one block per call ("per-block", the read-modify-write pair of
+// Table III's metric) versus batched ranged read/write calls. Measures MB/s
 // of logical payload and disk I/Os per block across sequential/random
 // patterns, block/row/stripe-sized requests, healthy and degraded
 // arrays, and with the write-through stripe cache off and on. Results
@@ -13,8 +13,8 @@
 // pays one head reposition (seek + avg rotation), every block pays
 // transfer time. The run accounting is the point of the vectored
 // DiskArray API: a full-stripe batched write lands as a handful of
-// per-column runs where the per-block path issues 6 discrete RMW
-// requests per block.
+// per-column runs where one-block calls issue 6 discrete RMW requests
+// per block.
 //
 // The acceptance gate is the sequential full-stripe write, healthy,
 // cache off: the batched path must not be slower in memory AND must be

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -36,7 +37,10 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point t0) {
 
 ArrayController::ArrayController(DiskArray& array,
                                  std::unique_ptr<ErasureCode> code)
-    : array_(array), code_(std::move(code)) {
+    : array_(array),
+      code_(std::move(code)),
+      rows_(code_->rows()),
+      cols_(code_->cols()) {
   virtual_cols_ = 0;
   for (int c = 0; c < code_->cols(); ++c) {
     bool all_virtual = true;
@@ -90,7 +94,7 @@ ArrayController::ArrayController(DiskArray& array,
       const int idx = data_index_[static_cast<std::size_t>(flat_of(in))];
       assert(idx >= 0);
       by_data[static_cast<std::size_t>(idx)].push_back(ch.parity);
-      chain_inputs_.push_back(in);
+      chain_inputs_.push_back(idx);
     }
     chain_offset_.push_back(static_cast<int>(chain_inputs_.size()));
   }
@@ -110,20 +114,6 @@ ArrayController::ArrayController(DiskArray& array,
   if (const auto v = util::env_int("C56_CACHE_STRIPES", 0, 1 << 22)) {
     if (*v > 0) set_cache_stripes(static_cast<std::size_t>(*v));
   }
-  if (const auto v = util::env_int("C56_SUBBLOCK", 0, 1)) {
-    subblock_delta_ = *v != 0;
-  }
-  if (const auto v = util::env_int("C56_SUBBLOCK_PROMOTE_PCT", 1, 100)) {
-    subblock_promote_pct_ = static_cast<int>(*v);
-  }
-}
-
-void ArrayController::set_subblock_promote_pct(int pct) {
-  if (pct < 1 || pct > 100) {
-    throw std::invalid_argument(
-        "set_subblock_promote_pct: pct must be in [1, 100]");
-  }
-  subblock_promote_pct_ = pct;
 }
 
 std::int64_t ArrayController::logical_blocks() const {
@@ -144,10 +134,10 @@ bool ArrayController::cell_failed(Cell c) const {
   return failed_.count(disk_of(c.col)) != 0;
 }
 
-std::span<const Cell> ArrayController::parity_inputs(int pflat) const {
+std::span<const int> ArrayController::parity_inputs(int pflat) const {
   const int k = chain_begin_[static_cast<std::size_t>(pflat)];
   assert(k >= 0 && "cell is not a parity");
-  return std::span<const Cell>(chain_inputs_)
+  return std::span<const int>(chain_inputs_)
       .subspan(static_cast<std::size_t>(chain_offset_[k]),
                static_cast<std::size_t>(chain_offset_[k + 1] -
                                         chain_offset_[k]));
@@ -172,22 +162,6 @@ const std::vector<RecoveryRecipe>& ArrayController::recipes() {
     recipes_valid_ = true;
   }
   return recipes_;
-}
-
-void ArrayController::read_cell(std::int64_t stripe, Cell c,
-                                std::span<std::uint8_t> out) {
-  if (kind_[static_cast<std::size_t>(flat_of(c))] == CellKind::kVirtual) {
-    std::ranges::fill(out, std::uint8_t{0});
-    return;
-  }
-  if (cell_failed(c)) {
-    reconstruct_cell(stripe, c, out);
-  } else {
-    const IoResult r = read_block_retry(array_, disk_of(c.col),
-                                        block_of(stripe, c.row), out,
-                                        RetryPolicy{}, nullptr);
-    if (!r.ok()) throw_io("read failed", r);
-  }
 }
 
 void ArrayController::reconstruct_cell(std::int64_t stripe, Cell c,
@@ -215,43 +189,45 @@ void ArrayController::reconstruct_cell(std::int64_t stripe, Cell c,
   if (!r.ok()) throw_io("reconstruction read failed", r);
 }
 
-void ArrayController::read(std::int64_t logical, std::span<std::uint8_t> out) {
-  const Locus l = locate(logical);
-  if (cache_ && cache_->lookup(l.stripe, flat_of(l.cell), out)) return;
-  std::lock_guard sl(stripe_lock(l.stripe));
-  read_cell(l.stripe, l.cell, out);
-  cache_fill(l.stripe, l.cell, out);
+// Per-thread planner scratch: the vectors keep their capacity between
+// calls, so a steady-state request allocates nothing but pooled
+// buffers. Front ends use `ops`, write_stripe the rest; neither
+// re-enters the other.
+struct ArrayController::Scratch {
+  struct Touched {  // one data cell the stripe's updates touch
+    int idx;
+    std::size_t lo, hi;                 // hull of its updated byte ranges
+    int updates = 0;
+    bool covered = false;               // some update spans the block
+    bool need_old = false;              // old bytes over the hull needed
+    bool old_full = false;              // old bytes known for the block
+    bool own = false;                   // new image assembled in scratch
+    bool skip = false;                  // idempotent: new == old
+    const std::uint8_t* src = nullptr;  // new image (one block)
+  };
+  struct Par {  // one surviving parity the touched cells feed
+    int flat;
+    std::size_t lo, hi;  // byte range to update
+    bool direct;         // whole expanded chain covered: no pre-read
+    bool live = false;   // some non-idempotent input
+  };
+  std::vector<SubWrite> ops;
+  std::vector<int> slot_of;  // data idx -> index into cells, or -1
+  std::vector<int> pslot;    // flat cell -> index into pars, -1, -2 failed
+  std::vector<Touched> cells;
+  std::vector<Par> pars;
+  std::vector<CellFetch> fetch;
+  std::vector<CellWrite> wr;
+  std::vector<const std::uint8_t*> srcs;
+};
+
+ArrayController::Scratch& ArrayController::scratch() {
+  thread_local Scratch s;
+  return s;
 }
 
-void ArrayController::write(std::int64_t logical,
-                            std::span<const std::uint8_t> in) {
-  const Locus l = locate(logical);
-  const std::size_t bs = array_.block_bytes();
-  std::lock_guard sl(stripe_lock(l.stripe));
-  PooledBuffer old(bs), delta(bs), par(bs);
-  if (!(cache_ && cache_->lookup(l.stripe, flat_of(l.cell), old.span()))) {
-    read_cell(l.stripe, l.cell, old.span());  // reconstructs when degraded
-  }
-  xor_to(delta.data(), old.data(), in.data(), bs);
-  if (all_zero(delta.span())) {  // idempotent write, nothing to do
-    cache_fill(l.stripe, l.cell, in);
-    return;
-  }
-
-  const int idx = data_index_[static_cast<std::size_t>(flat_of(l.cell))];
-  for (Cell pc : parities_of(idx)) {
-    if (cell_failed(pc)) continue;  // regenerated at rebuild time
-    const int d = disk_of(pc.col);
-    const std::int64_t b = block_of(l.stripe, pc.row);
-    array_.read_block(d, b, par.span());
-    xor_into(par.span(), delta.span());
-    array_.write_block(d, b, par.span());
-  }
-  if (!cell_failed(l.cell)) {
-    array_.write_block(disk_of(l.cell.col), block_of(l.stripe, l.cell.row),
-                       in);
-  }
-  cache_fill(l.stripe, l.cell, in);
+void ArrayController::read(std::int64_t logical, std::span<std::uint8_t> out) {
+  read(logical, 1, out);
 }
 
 void ArrayController::read(std::int64_t logical, std::int64_t count,
@@ -272,16 +248,20 @@ void ArrayController::read(std::int64_t logical, std::int64_t count,
   std::chrono::steady_clock::time_point t0;
   if (obs_on) t0 = std::chrono::steady_clock::now();
   const auto per = static_cast<std::int64_t>(data_cells_.size());
+  std::vector<CellFetch>& want = scratch().fetch;
   std::int64_t done = 0;
   while (done < count) {
     const std::int64_t l = logical + done;
     const auto i0 = static_cast<int>(l % per);
     const auto n =
         static_cast<int>(std::min<std::int64_t>(per - i0, count - done));
+    want.clear();
+    for (int k = 0; k < n; ++k) {
+      want.push_back({data_cells_[static_cast<std::size_t>(i0 + k)], k});
+    }
     std::lock_guard sl(stripe_lock(l / per));
-    read_run(l / per, i0, n,
-             out.subspan(static_cast<std::size_t>(done) * bs,
-                         static_cast<std::size_t>(n) * bs));
+    fetch_cells(l / per, want, out.data() + static_cast<std::size_t>(done) * bs,
+                /*use_cache=*/true);
     done += n;
   }
   if (obs_on) {
@@ -290,88 +270,33 @@ void ArrayController::read(std::int64_t logical, std::int64_t count,
   }
 }
 
-void ArrayController::write(std::int64_t logical, std::int64_t count,
-                            std::span<const std::uint8_t> in) {
-  const std::size_t bs = array_.block_bytes();
-  // Same overflow-safe range semantics as ranged read (see above).
-  if (count < 0 || logical < 0 || logical > logical_blocks() ||
-      count > logical_blocks() - logical) {
-    throw std::out_of_range("ArrayController::write: bad logical range");
-  }
-  if (in.size() != static_cast<std::size_t>(count) * bs) {
-    throw std::invalid_argument("ArrayController::write: bad buffer size");
-  }
-  if (count == 0) return;  // validated no-op, planner never invoked
-  const bool obs_on = obs::metrics_enabled();
-  std::chrono::steady_clock::time_point t0;
-  if (obs_on) t0 = std::chrono::steady_clock::now();
-  // Priced by the perf-smoke overhead gate: with a log attached but
-  // events disabled this is the layer's whole hot-path cost.
-  if (events_ && obs::events_enabled()) {
-    emit_event(obs::EventLevel::kDebug,
-               "ranged write: " + std::to_string(count) +
-                   " blocks at logical " + std::to_string(logical),
-               -1, "ranged_write");
-  }
-  const auto per = static_cast<std::int64_t>(data_cells_.size());
-  std::int64_t done = 0;
-  while (done < count) {
-    const std::int64_t l = logical + done;
-    const auto i0 = static_cast<int>(l % per);
-    const auto n =
-        static_cast<int>(std::min<std::int64_t>(per - i0, count - done));
-    const auto chunk = in.subspan(static_cast<std::size_t>(done) * bs,
-                                  static_cast<std::size_t>(n) * bs);
-    std::lock_guard sl(stripe_lock(l / per));
-    if (i0 == 0 && n == per) {
-      if (obs_on) full_stripe_writes_.inc();
-      write_full_stripe(l / per, chunk);
-    } else {
-      if (obs_on) partial_stripe_writes_.inc();
-      write_partial_stripe(l / per, i0, n, chunk);
-    }
-    done += n;
-  }
-  if (obs_on) {
-    ranged_writes_.inc();
-    write_latency_us_.observe(elapsed_us(t0));
-  }
-}
-
-void ArrayController::read_run(std::int64_t stripe, int i0, int n,
-                               std::span<std::uint8_t> out) {
-  std::vector<CellFetch> want(static_cast<std::size_t>(n));
-  for (int k = 0; k < n; ++k) {
-    want[static_cast<std::size_t>(k)] = {
-        data_cells_[static_cast<std::size_t>(i0 + k)], k};
-  }
-  fetch_cells(stripe, want, out.data(), /*use_cache=*/true);
-}
-
 void ArrayController::fetch_cells(std::int64_t stripe,
-                                  std::span<const CellFetch> want,
+                                  std::span<CellFetch> want,
                                   std::uint8_t* dst_blocks, bool use_cache) {
   const std::size_t bs = array_.block_bytes();
-  std::vector<CellFetch> rest;  // cache misses on surviving disks
-  rest.reserve(want.size());
-  for (const CellFetch& cf : want) {
-    const std::span<std::uint8_t> dst{
+  const auto dst_of = [&](const CellFetch& cf) {
+    return std::span<std::uint8_t>{
         dst_blocks + static_cast<std::size_t>(cf.dst) * bs, bs};
-    if (use_cache && cache_ && cache_->lookup(stripe, flat_of(cf.cell), dst)) {
+  };
+  // Cache hits and failed cells are served here; the disk reads left
+  // over are compacted to the front of `want`.
+  std::size_t n = 0;
+  for (const CellFetch& cf : want) {
+    if (use_cache && cache_ &&
+        cache_->lookup(stripe, flat_of(cf.cell), dst_of(cf))) {
       continue;
     }
     if (cell_failed(cf.cell)) {
-      reconstruct_cell(stripe, cf.cell, dst);
-      if (use_cache) cache_fill(stripe, cf.cell, dst);
+      reconstruct_cell(stripe, cf.cell, dst_of(cf));
+      if (use_cache) cache_fill(stripe, cf.cell, dst_of(cf));
       continue;
     }
-    rest.push_back(cf);
+    want[n++] = cf;
   }
-  std::sort(rest.begin(), rest.end(),
-            [](const CellFetch& a, const CellFetch& b) {
-              return std::pair(a.cell.col, a.cell.row) <
-                     std::pair(b.cell.col, b.cell.row);
-            });
+  const std::span<CellFetch> rest = want.first(n);
+  std::ranges::sort(rest, {}, [](const CellFetch& f) {
+    return std::pair(f.cell.col, f.cell.row);
+  });
   std::size_t i = 0;
   while (i < rest.size()) {
     std::size_t j = i + 1;
@@ -388,8 +313,7 @@ void ArrayController::fetch_cells(std::int64_t stripe,
       const IoResult r = array_.read_blocks(d, b0, m, staging.span());
       if (r.ok()) {
         for (int k = 0; k < m; ++k) {
-          const std::span<std::uint8_t> dst{
-              dst_blocks + static_cast<std::size_t>(rest[i + k].dst) * bs, bs};
+          const auto dst = dst_of(rest[i + static_cast<std::size_t>(k)]);
           std::memcpy(dst.data(),
                       staging.data() + static_cast<std::size_t>(k) * bs, bs);
           if (use_cache) cache_fill(stripe, rest[i + k].cell, dst);
@@ -400,8 +324,7 @@ void ArrayController::fetch_cells(std::int64_t stripe,
     }
     if (per_block) {
       for (int k = 0; k < m; ++k) {
-        const std::span<std::uint8_t> dst{
-            dst_blocks + static_cast<std::size_t>(rest[i + k].dst) * bs, bs};
+        const auto dst = dst_of(rest[i + static_cast<std::size_t>(k)]);
         const IoResult r = read_block_retry(array_, d, b0 + k, dst,
                                             RetryPolicy{}, nullptr);
         if (!r.ok()) throw_io("read failed", r);
@@ -413,15 +336,12 @@ void ArrayController::fetch_cells(std::int64_t stripe,
 }
 
 void ArrayController::write_cells(std::int64_t stripe,
-                                  std::span<const CellWrite> want) {
-  if (want.empty()) return;
+                                  std::span<CellWrite> w) {
   const std::size_t bs = array_.block_bytes();
-  std::vector<CellWrite> w(want.begin(), want.end());
-  std::sort(w.begin(), w.end(), [](const CellWrite& a, const CellWrite& b) {
-    return std::pair(a.cell.col, a.cell.row) <
-           std::pair(b.cell.col, b.cell.row);
+  std::ranges::sort(w, {}, [](const CellWrite& cw) {
+    return std::pair(cw.cell.col, cw.cell.row);
   });
-  PooledBuffer staging(static_cast<std::size_t>(code_->rows()) * bs);
+  std::optional<PooledBuffer> staging;  // only runs of 2+ blocks need it
   std::size_t i = 0;
   while (i < w.size()) {
     std::size_t j = i + 1;
@@ -435,18 +355,22 @@ void ArrayController::write_cells(std::int64_t stripe,
     if (m == 1) {
       array_.write_block(d, b0, {w[i].src, bs});
     } else {
+      if (!staging) {
+        staging.emplace(static_cast<std::size_t>(code_->rows()) * bs);
+      }
       for (int k = 0; k < m; ++k) {
-        std::memcpy(staging.data() + static_cast<std::size_t>(k) * bs,
-                    w[i + k].src, bs);
+        std::memcpy(staging->data() + static_cast<std::size_t>(k) * bs,
+                    w[i + static_cast<std::size_t>(k)].src, bs);
       }
       const IoResult r = array_.write_blocks(
           d, b0, m,
-          staging.span().subspan(0, static_cast<std::size_t>(m) * bs));
+          staging->span().subspan(0, static_cast<std::size_t>(m) * bs));
       if (r.status == IoStatus::kTornWrite) {
         // A torn block is repaired by a full rewrite; redo the run per
         // block so only the torn one is retried with backoff.
         for (int k = 0; k < m; ++k) {
-          write_block_retry(array_, d, b0 + k, {w[i + k].src, bs},
+          write_block_retry(array_, d, b0 + k,
+                            {w[i + static_cast<std::size_t>(k)].src, bs},
                             RetryPolicy{}, nullptr);
         }
       }
@@ -455,167 +379,38 @@ void ArrayController::write_cells(std::int64_t stripe,
   }
 }
 
-void ArrayController::write_full_stripe(std::int64_t stripe,
-                                        std::span<const std::uint8_t> in) {
-  const std::size_t bs = array_.block_bytes();
-  const int rows = code_->rows();
-  const int cols = code_->cols();
-  PooledBuffer sbuf(static_cast<std::size_t>(code_->cell_count()) * bs);
-  StripeView v(sbuf.span(), rows, cols, bs);
-  for (std::size_t i = 0; i < data_cells_.size(); ++i) {
-    std::memcpy(v.block(data_cells_[i]).data(), in.data() + i * bs, bs);
-  }
-  code_->encode(v);  // regenerates every parity; zero pre-reads issued
-  std::vector<CellWrite> wr;
-  wr.reserve(static_cast<std::size_t>(rows) *
-             static_cast<std::size_t>(cols - virtual_cols_));
-  for (int c = virtual_cols_; c < cols; ++c) {
-    if (failed_.count(disk_of(c))) continue;  // regenerated at rebuild time
-    for (int r = 0; r < rows; ++r) {
-      if (kind_[static_cast<std::size_t>(r) * cols + c] ==
-          CellKind::kVirtual) {
-        continue;
-      }
-      wr.push_back({{r, c}, v.block({r, c}).data()});
-    }
-  }
-  if (obs::metrics_enabled()) {
-    std::uint64_t np = 0;
-    for (const CellWrite& cw : wr) {
-      if (kind_[static_cast<std::size_t>(flat_of(cw.cell))] !=
-          CellKind::kData) {
-        ++np;
-      }
-    }
-    direct_parities_.inc(np);  // encode() issues zero pre-reads
-  }
-  write_cells(stripe, wr);
-  for (std::size_t i = 0; i < data_cells_.size(); ++i) {
-    cache_fill(stripe, data_cells_[i], in.subspan(i * bs, bs));
-  }
+void ArrayController::write(std::int64_t logical,
+                            std::span<const std::uint8_t> in) {
+  write(logical, 1, in);
 }
 
-void ArrayController::write_partial_stripe(std::int64_t stripe, int i0, int n,
-                                           std::span<const std::uint8_t> in) {
+void ArrayController::write(std::int64_t logical, std::int64_t count,
+                            std::span<const std::uint8_t> in) {
   const std::size_t bs = array_.block_bytes();
-  const int cols = code_->cols();
-
-  // Surviving parities touched by the range, each listed once.
-  std::vector<int> affected;  // flat parity indices
-  std::vector<char> seen(kind_.size(), 0);
-  for (int k = 0; k < n; ++k) {
-    for (Cell pc : parities_of(i0 + k)) {
-      const auto pf = static_cast<std::size_t>(flat_of(pc));
-      if (seen[pf]) continue;
-      seen[pf] = 1;
-      if (cell_failed(pc)) continue;  // regenerated at rebuild time
-      affected.push_back(static_cast<int>(pf));
-    }
+  // Same overflow-safe range semantics as ranged read (see above).
+  if (count < 0 || logical < 0 || logical > logical_blocks() ||
+      count > logical_blocks() - logical) {
+    throw std::out_of_range("ArrayController::write: bad logical range");
   }
-
-  // A parity whose whole expanded input set lies inside the range is
-  // computed directly from the new values (no pre-read of the parity or
-  // of old data); this is what makes a full row as cheap as a full
-  // stripe. Everything else is read-modify-write with the deltas of its
-  // in-range inputs coalesced, so old data values are needed only for
-  // cells feeding at least one RMW parity.
-  const auto in_range = [&](Cell c) {
-    const int idx = data_index_[static_cast<std::size_t>(flat_of(c))];
-    return idx >= i0 && idx < i0 + n;
-  };
-  std::vector<char> direct(affected.size(), 0);
-  std::vector<char> need_old(static_cast<std::size_t>(n), 0);
-  for (std::size_t a = 0; a < affected.size(); ++a) {
-    bool all = true;
-    for (Cell ic : parity_inputs(affected[a])) {
-      if (!in_range(ic)) {
-        all = false;
-        break;
-      }
-    }
-    direct[a] = all ? 1 : 0;
-    if (!all) {
-      for (Cell ic : parity_inputs(affected[a])) {
-        if (in_range(ic)) {
-          const int idx = data_index_[static_cast<std::size_t>(flat_of(ic))];
-          need_old[static_cast<std::size_t>(idx - i0)] = 1;
-        }
-      }
-    }
+  if (in.size() != static_cast<std::size_t>(count) * bs) {
+    throw std::invalid_argument("ArrayController::write: bad buffer size");
   }
-  if (obs::metrics_enabled()) {
-    std::uint64_t nd = 0;
-    for (char dflag : direct) nd += static_cast<std::uint64_t>(dflag);
-    direct_parities_.inc(nd);
-    rmw_parities_.inc(affected.size() - nd);
+  if (count == 0) return;  // validated no-op, planner never invoked
+  // Priced by the perf-smoke overhead gate: with a log attached but
+  // events disabled this is the layer's whole hot-path cost.
+  if (events_ && obs::events_enabled()) {
+    emit_event(obs::EventLevel::kDebug,
+               "ranged write: " + std::to_string(count) +
+                   " blocks at logical " + std::to_string(logical),
+               -1, "ranged_write");
   }
-
-  // Old values of the needed cells, turned into deltas in place.
-  PooledBuffer old(static_cast<std::size_t>(n) * bs);
-  std::vector<CellFetch> want;
-  for (int k = 0; k < n; ++k) {
-    if (need_old[static_cast<std::size_t>(k)]) {
-      want.push_back({data_cells_[static_cast<std::size_t>(i0 + k)], k});
-    }
+  std::vector<SubWrite>& ops = scratch().ops;
+  ops.clear();
+  for (std::int64_t k = 0; k < count; ++k) {
+    ops.push_back(
+        {logical + k, 0, in.subspan(static_cast<std::size_t>(k) * bs, bs)});
   }
-  fetch_cells(stripe, want, old.data(), /*use_cache=*/true);
-  for (int k = 0; k < n; ++k) {
-    if (need_old[static_cast<std::size_t>(k)]) {
-      xor_into(old.data() + static_cast<std::size_t>(k) * bs,
-               in.data() + static_cast<std::size_t>(k) * bs, bs);
-    }
-  }
-
-  // New parity values: direct ones accumulate the new inputs in one
-  // pass; RMW ones pre-read once (batched per column) and fold in the
-  // coalesced deltas, so each parity block is read and written at most
-  // once for the whole range.
-  PooledBuffer pbuf(std::max<std::size_t>(1, affected.size()) * bs);
-  std::vector<CellFetch> pre;
-  for (std::size_t a = 0; a < affected.size(); ++a) {
-    if (!direct[a]) {
-      pre.push_back({cell_of_index(affected[a], cols), static_cast<int>(a)});
-    }
-  }
-  fetch_cells(stripe, pre, pbuf.data(), /*use_cache=*/false);
-  std::vector<const std::uint8_t*> srcs;
-  for (std::size_t a = 0; a < affected.size(); ++a) {
-    std::uint8_t* par = pbuf.data() + a * bs;
-    if (direct[a]) {
-      srcs.clear();
-      for (Cell ic : parity_inputs(affected[a])) {
-        const int idx = data_index_[static_cast<std::size_t>(flat_of(ic))];
-        srcs.push_back(in.data() + static_cast<std::size_t>(idx - i0) * bs);
-      }
-      xor_accumulate(par, reinterpret_cast<const void* const*>(srcs.data()),
-                     srcs.size(), bs);
-    } else {
-      for (Cell ic : parity_inputs(affected[a])) {
-        if (!in_range(ic)) continue;
-        const int idx = data_index_[static_cast<std::size_t>(flat_of(ic))];
-        xor_into(par, old.data() + static_cast<std::size_t>(idx - i0) * bs,
-                 bs);
-      }
-    }
-  }
-
-  // One batched flush for parities and surviving data blocks alike.
-  std::vector<CellWrite> wr;
-  wr.reserve(affected.size() + static_cast<std::size_t>(n));
-  for (std::size_t a = 0; a < affected.size(); ++a) {
-    wr.push_back({cell_of_index(affected[a], cols), pbuf.data() + a * bs});
-  }
-  for (int k = 0; k < n; ++k) {
-    const Cell c = data_cells_[static_cast<std::size_t>(i0 + k)];
-    if (!cell_failed(c)) {
-      wr.push_back({c, in.data() + static_cast<std::size_t>(k) * bs});
-    }
-  }
-  write_cells(stripe, wr);
-  for (int k = 0; k < n; ++k) {
-    cache_fill(stripe, data_cells_[static_cast<std::size_t>(i0 + k)],
-               in.subspan(static_cast<std::size_t>(k) * bs, bs));
-  }
+  write_ops(ops, /*ranged=*/true);
 }
 
 void ArrayController::read_range(std::int64_t logical, std::int64_t offset,
@@ -628,7 +423,7 @@ void ArrayController::read_range(std::int64_t logical, std::int64_t offset,
   }
   if (out.empty()) return;  // validated no-op
   if (offset == 0 && out.size() == bs) {
-    read(logical, out);
+    read(logical, 1, out);
     return;
   }
   const Locus l = locate(logical);
@@ -659,18 +454,6 @@ void ArrayController::read_range(std::int64_t logical, std::int64_t offset,
 
 void ArrayController::write_range(std::int64_t logical, std::int64_t offset,
                                   std::span<const std::uint8_t> in) {
-  const std::size_t bs = array_.block_bytes();
-  if (logical < 0 || logical >= logical_blocks() || offset < 0 ||
-      offset > static_cast<std::int64_t>(bs) ||
-      in.size() > bs - static_cast<std::size_t>(offset)) {
-    throw std::out_of_range("ArrayController::write_range: bad range");
-  }
-  if (in.empty()) return;  // validated no-op
-  if (offset == 0 && in.size() == bs) {
-    // Whole-block range: the per-block path, byte- and I/O-identical.
-    write(logical, in);
-    return;
-  }
   const SubWrite w{logical, offset, in};
   write_range(std::span<const SubWrite>(&w, 1));
 }
@@ -684,36 +467,55 @@ void ArrayController::write_range(std::span<const SubWrite> batch) {
       throw std::out_of_range("ArrayController::write_range: bad range");
     }
   }
-  // Validated zero-length entries are no-ops; group the rest by stripe,
-  // preserving batch order within each stripe (overlaps apply in order).
-  const auto per = static_cast<std::int64_t>(data_cells_.size());
-  std::vector<SubWrite> ops;
-  ops.reserve(batch.size());
+  // Validated zero-length entries are no-ops.
+  std::vector<SubWrite>& ops = scratch().ops;
+  ops.clear();
   for (const SubWrite& w : batch) {
     if (!w.data.empty()) ops.push_back(w);
   }
   if (ops.empty()) return;
-  const bool obs_on = obs::metrics_enabled();
-  std::chrono::steady_clock::time_point t0;
-  if (obs_on) t0 = std::chrono::steady_clock::now();
   if (events_ && obs::events_enabled()) {
     emit_event(obs::EventLevel::kDebug,
                "subblock write: " + std::to_string(ops.size()) + " ops",
                -1, "subblock_write");
   }
-  std::stable_sort(ops.begin(), ops.end(),
-                   [per](const SubWrite& a, const SubWrite& b) {
-                     return a.logical / per < b.logical / per;
-                   });
+  write_ops(ops, /*ranged=*/false);
+}
+
+void ArrayController::write_ops(std::span<SubWrite> ops, bool ranged) {
+  const bool obs_on = obs::metrics_enabled();
+  std::chrono::steady_clock::time_point t0;
+  if (obs_on) t0 = std::chrono::steady_clock::now();
+  const auto per = static_cast<std::int64_t>(data_cells_.size());
+  const auto stripe_of = [per](const SubWrite& w) { return w.logical / per; };
+  // Group by stripe, keeping batch order within a stripe (overlapping
+  // updates apply in order).
+  if (!std::ranges::is_sorted(ops, {}, stripe_of)) {
+    std::ranges::stable_sort(ops, {}, stripe_of);
+  }
   std::size_t i = 0;
   while (i < ops.size()) {
-    const std::int64_t stripe = ops[i].logical / per;
+    const std::int64_t stripe = stripe_of(ops[i]);
     std::size_t j = i + 1;
-    while (j < ops.size() && ops[j].logical / per == stripe) ++j;
-    std::lock_guard sl(stripe_lock(stripe));
-    write_subblock_stripe(stripe,
-                          std::span<const SubWrite>(ops.data() + i, j - i));
+    while (j < ops.size() && stripe_of(ops[j]) == stripe) ++j;
+    const std::span<const SubWrite> ups = ops.subspan(i, j - i);
     i = j;
+    PlanStats st;
+    {
+      std::lock_guard sl(stripe_lock(stripe));
+      st = write_stripe(stripe, ups);
+    }
+    if (obs_on) {
+      direct_parities_.inc(st.direct);
+      if (ranged) {
+        (st.full_stripe ? full_stripe_writes_ : partial_stripe_writes_).inc();
+        rmw_parities_.inc(st.rmw);
+      } else {
+        subblock_writes_.inc(ups.size());
+        delta_parities_.inc(st.rmw);
+        subblock_promotions_.inc(st.promoted);
+      }
+    }
   }
   if (obs_on) {
     ranged_writes_.inc();
@@ -721,166 +523,277 @@ void ArrayController::write_range(std::span<const SubWrite> batch) {
   }
 }
 
-void ArrayController::write_subblock_stripe(std::int64_t stripe,
-                                            std::span<const SubWrite> ops) {
+ArrayController::PlanStats ArrayController::write_stripe(
+    std::int64_t stripe, std::span<const SubWrite> ups) {
   const std::size_t bs = array_.block_bytes();
   const int cols = code_->cols();
   const auto per = static_cast<std::int64_t>(data_cells_.size());
-  const bool obs_on = obs::metrics_enabled();
+  Scratch& s = scratch();
+  PlanStats st;
 
-  // Union byte range per touched data cell, in first-touch order.
-  struct ByteRange {
-    std::size_t lo, hi;
+  // Touched cells in first-touch order: the hull of each one's byte
+  // ranges, and whether one update covers it whole.
+  s.slot_of.assign(data_cells_.size(), -1);
+  s.cells.clear();
+  for (const SubWrite& u : ups) {
+    const auto idx = static_cast<int>(u.logical % per);
+    int& k = s.slot_of[static_cast<std::size_t>(idx)];
+    if (k < 0) {
+      k = static_cast<int>(s.cells.size());
+      s.cells.push_back({idx, bs, 0});
+    }
+    Scratch::Touched& t = s.cells[static_cast<std::size_t>(k)];
+    const auto off = static_cast<std::size_t>(u.offset);
+    ++t.updates;
+    t.lo = std::min(t.lo, off);
+    t.hi = std::max(t.hi, off + u.data.size());
+    if (u.data.size() == bs) {
+      t.covered = true;
+      t.src = u.data.data();
+    }
+  }
+  if (s.cells.size() == data_cells_.size() &&
+      std::ranges::all_of(s.cells, &Scratch::Touched::covered)) {
+    st.full_stripe = true;
+    st.direct = write_full_stripe(stripe, ups);
+    return st;
+  }
+  // With the delta plane off every partial hull widens to the whole
+  // block (the whole-block read-modify-write fallback).
+  if (!subblock_delta_) {
+    for (Scratch::Touched& t : s.cells) {
+      if (t.lo == 0 && t.hi == bs) continue;
+      t.lo = 0;
+      t.hi = bs;
+      ++st.promoted;
+    }
+  }
+  const auto slot = [&](int idx) {  // touched-cell index, or -1
+    return s.slot_of[static_cast<std::size_t>(idx)];
   };
-  std::vector<int> touched;  // data idx within the stripe
-  std::vector<int> slot_of(data_cells_.size(), -1);
-  std::vector<ByteRange> range;
-  for (const SubWrite& w : ops) {
-    const auto idx = static_cast<int>(w.logical % per);
-    int s = slot_of[static_cast<std::size_t>(idx)];
-    if (s < 0) {
-      s = static_cast<int>(touched.size());
-      slot_of[static_cast<std::size_t>(idx)] = s;
-      touched.push_back(idx);
-      range.push_back({bs, 0});
-    }
-    auto& br = range[static_cast<std::size_t>(s)];
-    br.lo = std::min(br.lo, static_cast<std::size_t>(w.offset));
-    br.hi = std::max(br.hi, static_cast<std::size_t>(w.offset) + w.data.size());
-  }
 
-  // Promotion: a range covering >= pct% of the block is widened to the
-  // whole block (with the plane disabled, everything is — that is the
-  // whole-block RMW fallback).
-  const int pct = subblock_delta_ ? subblock_promote_pct_ : 0;
-  std::uint64_t promoted = 0;
-  for (ByteRange& br : range) {
-    if ((br.hi - br.lo) * 100 >= static_cast<std::size_t>(pct) * bs) {
-      if (br.lo != 0 || br.hi != bs) ++promoted;
-      br.lo = 0;
-      br.hi = bs;
-    }
-  }
-
-  // Old and new images of every touched cell. The old image is read
-  // over just the union range unless the full block is available for
-  // free (cache hit) or required anyway (failed cell reconstruction is
-  // whole-block by nature; promoted ranges are the whole block).
-  const std::size_t T = touched.size();
-  PooledBuffer olds(T * bs), news(T * bs);
-  std::vector<char> have_full(T, 0), skip(T, 0);
-  for (std::size_t t = 0; t < T; ++t) {
-    const Cell c = data_cells_[static_cast<std::size_t>(touched[t])];
-    const auto oldb = olds.block(t, bs);
-    const ByteRange br = range[t];
-    if (cache_ && cache_->lookup(stripe, flat_of(c), oldb)) {
-      have_full[t] = 1;
-    } else if (cell_failed(c)) {
-      reconstruct_cell(stripe, c, oldb);
-      have_full[t] = 1;
-    } else {
-      const IoResult r = read_range_retry(
-          array_, disk_of(c.col), block_of(stripe, c.row), br.lo,
-          oldb.subspan(br.lo, br.hi - br.lo), RetryPolicy{}, nullptr);
-      if (!r.ok()) throw_io("range read failed", r);
-      have_full[t] = br.lo == 0 && br.hi == bs;
-    }
-    const std::size_t lo = have_full[t] ? 0 : br.lo;
-    const std::size_t hi = have_full[t] ? bs : br.hi;
-    std::memcpy(news.data() + t * bs + lo, olds.data() + t * bs + lo,
-                hi - lo);
-  }
-  for (const SubWrite& w : ops) {
-    const auto idx = static_cast<int>(w.logical % per);
-    const auto t = static_cast<std::size_t>(
-        slot_of[static_cast<std::size_t>(idx)]);
-    std::memcpy(news.data() + t * bs + static_cast<std::size_t>(w.offset),
-                w.data.data(), w.data.size());
-  }
-  for (std::size_t t = 0; t < T; ++t) {
-    skip[t] = std::memcmp(olds.data() + t * bs + range[t].lo,
-                          news.data() + t * bs + range[t].lo,
-                          range[t].hi - range[t].lo) == 0
-                  ? 1
-                  : 0;  // idempotent sub-write: no deltas, no disk I/O
-  }
-
-  // Coalesce contributors per surviving parity: each affected parity
-  // block is read over the union of its contributors' ranges, delta-
-  // updated in one pass per contributor (parity ^= new ^ old), and
-  // written back — at most one ranged RMW per parity per batch.
-  std::vector<int> parities;  // flat parity indices
-  std::vector<int> pslot(kind_.size(), -1);
-  std::vector<ByteRange> prange;
-  std::vector<std::vector<std::size_t>> contributors;
-  for (std::size_t t = 0; t < T; ++t) {
-    if (skip[t]) continue;
-    for (Cell pc : parities_of(touched[t])) {
-      if (cell_failed(pc)) continue;  // regenerated at rebuild time
-      const auto pf = static_cast<std::size_t>(flat_of(pc));
-      int s = pslot[pf];
-      if (s < 0) {
-        s = static_cast<int>(parities.size());
-        pslot[pf] = s;
-        parities.push_back(static_cast<int>(pf));
-        prange.push_back({bs, 0});
-        contributors.emplace_back();
+  // Surviving parities the touched cells feed, each listed once. A
+  // parity whose expanded chain is all covered cells is computed
+  // directly from the new values; every other one is read-modify-
+  // written and needs the old values of its touched inputs.
+  s.pslot.assign(kind_.size(), -1);
+  s.pars.clear();
+  for (const Scratch::Touched& t : s.cells) {
+    for (Cell pc : parities_of(t.idx)) {
+      const int pf = flat_of(pc);
+      int& k = s.pslot[static_cast<std::size_t>(pf)];
+      if (k != -1) continue;
+      if (cell_failed(pc)) {  // regenerated at rebuild time
+        k = -2;
+        continue;
       }
-      auto& pr = prange[static_cast<std::size_t>(s)];
-      pr.lo = std::min(pr.lo, range[t].lo);
-      pr.hi = std::max(pr.hi, range[t].hi);
-      contributors[static_cast<std::size_t>(s)].push_back(t);
+      k = static_cast<int>(s.pars.size());
+      bool direct = true;
+      for (int idx : parity_inputs(pf)) {
+        const int j = slot(idx);
+        if (j < 0 || !s.cells[static_cast<std::size_t>(j)].covered) {
+          direct = false;
+          break;
+        }
+      }
+      s.pars.push_back({pf, bs, 0, direct});
     }
   }
-  if (obs_on) {
-    subblock_writes_.inc(ops.size());
-    delta_parities_.inc(parities.size());
-    if (promoted) subblock_promotions_.inc(promoted);
+  for (const Scratch::Par& pr : s.pars) {
+    if (pr.direct) continue;
+    for (int idx : parity_inputs(pr.flat)) {
+      const int j = slot(idx);
+      if (j >= 0) s.cells[static_cast<std::size_t>(j)].need_old = true;
+    }
   }
 
-  PooledBuffer pbuf(std::max<std::size_t>(1, parities.size()) * bs);
-  for (std::size_t p = 0; p < parities.size(); ++p) {
-    const Cell pc = cell_of_index(parities[p], cols);
-    const int d = disk_of(pc.col);
-    const std::int64_t b = block_of(stripe, pc.row);
-    const ByteRange pr = prange[p];
-    std::uint8_t* par = pbuf.data() + p * bs;
-    const IoResult r = read_range_retry(
-        array_, d, b, pr.lo, {par + pr.lo, pr.hi - pr.lo}, RetryPolicy{},
-        nullptr);
-    if (!r.ok()) throw_io("parity range read failed", r);
-    for (const std::size_t t : contributors[p]) {
-      const ByteRange br = range[t];
-      xor_delta_into(par + br.lo, olds.data() + t * bs + br.lo,
-                     news.data() + t * bs + br.lo, br.hi - br.lo);
+  // Pre-reads, all issued before the first write so a failed read
+  // leaves the stripe untouched. Old data first: a partial cell always
+  // needs its old bytes (they fill the gaps of its new image); a cell
+  // read over the whole block, served by the cache or reconstructed is
+  // known whole.
+  const auto read_range_or_throw = [&](Cell c, std::size_t lo, std::size_t hi,
+                                       std::uint8_t* blk) {
+    const IoResult r =
+        read_range_retry(array_, disk_of(c.col), block_of(stripe, c.row), lo,
+                         {blk + lo, hi - lo}, RetryPolicy{}, nullptr);
+    if (!r.ok()) throw_io("range read failed", r);
+  };
+  // One pooled arena: old images, new images, parity images.
+  const std::size_t T = s.cells.size();
+  PooledBuffer arena((2 * T + s.pars.size()) * bs);
+  std::uint8_t* const olds = arena.data();
+  std::uint8_t* const news = olds + T * bs;
+  std::uint8_t* const pbuf = news + T * bs;
+  s.fetch.clear();
+  for (std::size_t k = 0; k < T; ++k) {
+    Scratch::Touched& t = s.cells[k];
+    t.need_old = t.need_old || !t.covered;
+    if (!t.need_old) continue;
+    const Cell c = data_cells_[static_cast<std::size_t>(t.idx)];
+    const std::span<std::uint8_t> oldb{olds + k * bs, bs};
+    t.old_full = true;
+    if (t.lo == 0 && t.hi == bs) {
+      s.fetch.push_back({c, static_cast<int>(k)});
+    } else if (!(cache_ && cache_->lookup(stripe, flat_of(c), oldb))) {
+      if (cell_failed(c)) {
+        reconstruct_cell(stripe, c, oldb);
+      } else {
+        t.old_full = false;
+        read_range_or_throw(c, t.lo, t.hi, oldb.data());
+      }
     }
-    // Write failures mirror write_cells: a torn range is repaired by
-    // the retry's rewrite; a disk that died mid-batch is left to the
-    // failure machinery (fail_disk/rebuild), not reported here.
-    write_range_retry(array_, d, b, pr.lo, {par + pr.lo, pr.hi - pr.lo},
-                      RetryPolicy{}, nullptr);
+  }
+  fetch_cells(stripe, s.fetch, olds, /*use_cache=*/true);
+
+  // New images: a cell written by one whole update is used in place;
+  // any other is assembled from its old bytes and its updates in batch
+  // order. A cell whose new bytes equal the old ones is idempotent and
+  // dropped from every parity and write.
+  for (std::size_t k = 0; k < T; ++k) {
+    Scratch::Touched& t = s.cells[k];
+    if (t.covered && t.updates == 1) continue;
+    t.own = true;
+    t.src = news + k * bs;
+    if (t.covered) continue;
+    const std::size_t lo = t.old_full ? 0 : t.lo;
+    const std::size_t hi = t.old_full ? bs : t.hi;
+    std::memcpy(news + k * bs + lo, olds + k * bs + lo, hi - lo);
+  }
+  for (const SubWrite& u : ups) {
+    const auto k = static_cast<std::size_t>(
+        s.slot_of[static_cast<std::size_t>(u.logical % per)]);
+    if (s.cells[k].own) {
+      std::memcpy(news + k * bs + static_cast<std::size_t>(u.offset),
+                  u.data.data(), u.data.size());
+    }
+  }
+  for (std::size_t k = 0; k < T; ++k) {
+    Scratch::Touched& t = s.cells[k];
+    t.skip = t.need_old && std::memcmp(olds + k * bs + t.lo,
+                                       t.src + t.lo, t.hi - t.lo) == 0;
   }
 
-  for (std::size_t t = 0; t < T; ++t) {
-    if (skip[t]) continue;
-    const Cell c = data_cells_[static_cast<std::size_t>(touched[t])];
-    const ByteRange br = range[t];
-    if (!cell_failed(c)) {
-      write_range_retry(array_, disk_of(c.col), block_of(stripe, c.row),
-                        br.lo,
-                        {news.data() + t * bs + br.lo, br.hi - br.lo},
-                        RetryPolicy{}, nullptr);
+  // Each live parity updates the union of its live inputs' ranges (a
+  // direct one the whole block). Old parity values for the read-
+  // modify-written ones — the last pre-reads.
+  s.fetch.clear();
+  for (std::size_t k = 0; k < s.pars.size(); ++k) {
+    Scratch::Par& pr = s.pars[k];
+    for (int idx : parity_inputs(pr.flat)) {
+      const int j = slot(idx);
+      if (j < 0 || s.cells[static_cast<std::size_t>(j)].skip) continue;
+      pr.live = true;
+      pr.lo = std::min(pr.lo, s.cells[static_cast<std::size_t>(j)].lo);
+      pr.hi = std::max(pr.hi, s.cells[static_cast<std::size_t>(j)].hi);
+    }
+    if (!pr.live) continue;
+    if (pr.direct) {
+      pr.lo = 0;
+      pr.hi = bs;
+      ++st.direct;
+      continue;
+    }
+    ++st.rmw;
+    const Cell pc = cell_of_index(pr.flat, cols);
+    if (pr.lo == 0 && pr.hi == bs) {
+      s.fetch.push_back({pc, static_cast<int>(k)});
+    } else {
+      read_range_or_throw(pc, pr.lo, pr.hi, pbuf + k * bs);
     }
   }
-  // Write-through cache merge: only a cell whose full new value is known
-  // may enter the cache — a partial image must never be inserted. An
-  // already-cached block was the old-value source (full), so it is
-  // updated; an uncached partial write stays uncached.
-  for (std::size_t t = 0; t < T; ++t) {
-    if (!have_full[t]) continue;
-    cache_fill(stripe, data_cells_[static_cast<std::size_t>(touched[t])],
-               news.block(t, bs));
+  fetch_cells(stripe, s.fetch, pbuf, /*use_cache=*/false);
+
+  // New parity values: a direct one accumulates its inputs' new images
+  // in one pass; a read-modify-written one folds in parity ^= new ^ old
+  // over each live input's range.
+  for (std::size_t k = 0; k < s.pars.size(); ++k) {
+    const Scratch::Par& pr = s.pars[k];
+    if (!pr.live) continue;
+    std::uint8_t* par = pbuf + k * bs;
+    if (pr.direct) {
+      s.srcs.clear();
+      for (int idx : parity_inputs(pr.flat)) {
+        s.srcs.push_back(s.cells[static_cast<std::size_t>(slot(idx))].src);
+      }
+      xor_accumulate(par, reinterpret_cast<const void* const*>(s.srcs.data()),
+                     s.srcs.size(), bs);
+      continue;
+    }
+    for (int idx : parity_inputs(pr.flat)) {
+      const int j = slot(idx);
+      if (j < 0 || s.cells[static_cast<std::size_t>(j)].skip) continue;
+      const Scratch::Touched& t = s.cells[static_cast<std::size_t>(j)];
+      xor_delta_into(par + t.lo,
+                     olds + static_cast<std::size_t>(j) * bs + t.lo,
+                     t.src + t.lo, t.hi - t.lo);
+    }
   }
+
+  // Writes: whole blocks batched into per-column runs, partial ranges
+  // one range write each. Write failures are not reported here: a torn
+  // write is repaired by its retry's rewrite, and a disk that died
+  // mid-request is left to the failure machinery (fail_disk/rebuild).
+  s.wr.clear();
+  const auto put = [&](Cell c, const std::uint8_t* img, std::size_t lo,
+                       std::size_t hi) {
+    if (lo == 0 && hi == bs) {
+      s.wr.push_back({c, img});
+    } else {
+      write_range_retry(array_, disk_of(c.col), block_of(stripe, c.row), lo,
+                        {img + lo, hi - lo}, RetryPolicy{}, nullptr);
+    }
+  };
+  for (std::size_t k = 0; k < s.pars.size(); ++k) {
+    const Scratch::Par& pr = s.pars[k];
+    if (pr.live) {
+      put(cell_of_index(pr.flat, cols), pbuf + k * bs, pr.lo, pr.hi);
+    }
+  }
+  for (const Scratch::Touched& t : s.cells) {
+    const Cell c = data_cells_[static_cast<std::size_t>(t.idx)];
+    if (!t.skip && !cell_failed(c)) put(c, t.src, t.lo, t.hi);
+  }
+  write_cells(stripe, s.wr);
+  // Write-through cache: only a cell whose whole new value is known may
+  // enter the cache — a partial image never does.
+  for (const Scratch::Touched& t : s.cells) {
+    if (t.covered || t.old_full) {
+      cache_fill(stripe, data_cells_[static_cast<std::size_t>(t.idx)],
+                 {t.src, bs});
+    }
+  }
+  return st;
+}
+
+std::uint64_t ArrayController::write_full_stripe(
+    std::int64_t stripe, std::span<const SubWrite> ups) {
+  const std::size_t bs = array_.block_bytes();
+  const int rows = code_->rows();
+  const int cols = code_->cols();
+  PooledBuffer sbuf(static_cast<std::size_t>(code_->cell_count()) * bs);
+  StripeView v(sbuf.span(), rows, cols, bs);
+  const auto per = data_cells_.size();
+  for (const SubWrite& u : ups) {
+    const Cell c = data_cells_[static_cast<std::size_t>(u.logical) % per];
+    std::memcpy(v.block(c).data() + u.offset, u.data.data(), u.data.size());
+  }
+  code_->encode(v);  // regenerates every parity; zero pre-reads issued
+  std::vector<CellWrite>& wr = scratch().wr;
+  wr.clear();
+  std::uint64_t parities = 0;
+  for (int c = virtual_cols_; c < cols; ++c) {
+    if (failed_.count(disk_of(c))) continue;  // regenerated at rebuild time
+    for (int r = 0; r < rows; ++r) {
+      const CellKind k = kind_[static_cast<std::size_t>(r) * cols + c];
+      if (k == CellKind::kVirtual) continue;
+      wr.push_back({{r, c}, v.block({r, c}).data()});
+      parities += k != CellKind::kData;
+    }
+  }
+  write_cells(stripe, wr);
+  for (Cell c : data_cells_) cache_fill(stripe, c, v.block(c));
+  return parities;
 }
 
 void ArrayController::set_cache_stripes(std::size_t n) {

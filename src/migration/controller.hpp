@@ -14,34 +14,31 @@
 // columns, which have no physical disk); logical data blocks enumerate
 // the code's data cells stripe by stripe in row-major order.
 //
-// Three I/O paths exist side by side:
-//   * the per-block read(l, out)/write(l, in) pair — one block, one
-//     read-modify-write per affected parity (Table III's metric);
-//   * the ranged read(l, count, out)/write(l, count, in) pair — the
-//     batched stripe-aware planner. Requests are grouped by stripe; a
-//     write covering every data cell of a stripe regenerates parity
-//     with encode() and issues no pre-reads at all; a partial-stripe
-//     write coalesces the parity deltas of all its blocks so each
-//     parity block is read and written at most once per stripe, and a
-//     parity whose full input set is in the batch is computed directly
-//     (no pre-read). Disk I/O is issued through the vectored
-//     DiskArray::read_blocks/write_blocks, one run per per-column
-//     stretch. Both paths leave byte-identical array contents on
-//     parity-consistent stripes (which a zeroed array already is, and
-//     which every path here maintains).
-//   * the sub-block write_range(l, off, in) path (single and batched) —
-//     the delta write plane. Every code in the zoo XORs parity
+// One write planner serves every write entry point. write(l, in),
+// write(l, count, in), write_range(l, off, in) and write_range(batch)
+// are thin front ends: they validate, split the request by stripe and
+// hand each stripe's updates (block, byte range, new bytes, in batch
+// order) to write_stripe() under the stripe lock. Per stripe:
+//   * updates covering every data cell whole regenerate parity with
+//     encode() and issue no pre-reads at all;
+//   * otherwise each surviving parity whose expanded chain is covered
+//     whole is computed directly (no pre-read), and every other one
+//     gets one coalesced read-modify-write over the union of its
+//     contributors' byte ranges. Every code in the zoo XORs parity
 //     bytewise, so a data byte at intra-block offset o feeds each of
-//     its parities at the same offset o; a sub-block write therefore
-//     only needs to move the touched byte range: read the old range,
-//     apply parity ^= new ^ old over that range (xor_delta kernels),
-//     and write the range back — data and every covering parity,
-//     horizontal and diagonal alike, via DiskArray range I/O. A batch
-//     coalesces deltas per parity block (one ranged read-modify-write
-//     per parity per stripe). Writes covering the whole block — or at
-//     least C56_SUBBLOCK_PROMOTE_PCT percent of it — are promoted to
-//     whole-block semantics, and write_range(l, 0, full_block) is
-//     byte- and I/O-count-identical to write(l, full_block).
+//     its parities at offset o: a sub-block update moves only its byte
+//     range (parity ^= new ^ old, xor_delta kernels);
+//   * old values are read only for cells that feed a read-modify-write
+//     parity or that are partially written, idempotent cells are
+//     dropped, and every pre-read is issued before the first write, so
+//     a failed read leaves the stripe untouched. Whole-block cells move
+//     through vectored DiskArray runs (one run per per-column stretch),
+//     partial cells through range I/O.
+// A one-block write therefore pays Table III's price — one
+// read-modify-write per affected parity, 6 I/Os for an optimal code —
+// and write_range(l, 0, full_block) is byte- and I/O-identical to
+// write(l, full_block). Reads have one path as well: read(l, out) is
+// read(l, 1, out).
 //
 // An optional write-through stripe cache (set_cache_stripes() or
 // C56_CACHE_STRIPES, default off) caches *data* cells at their current
@@ -80,12 +77,12 @@ class ArrayController {
   /// Data-block I/O. Reads reconstruct on the fly when the block's disk
   /// is failed; writes update every affected surviving parity and, for
   /// a failed data disk, keep the block recoverable through parity.
+  /// The one-block forms are read/write(logical, 1, ...).
   void read(std::int64_t logical, std::span<std::uint8_t> out);
   void write(std::int64_t logical, std::span<const std::uint8_t> in);
 
-  /// Ranged data-block I/O over [logical, logical + count): the batched
-  /// stripe-aware path (see header comment). The buffer holds count
-  /// consecutive logical blocks.
+  /// Ranged data-block I/O over [logical, logical + count). The buffer
+  /// holds count consecutive logical blocks.
   void read(std::int64_t logical, std::int64_t count,
             std::span<std::uint8_t> out);
   void write(std::int64_t logical, std::int64_t count,
@@ -96,8 +93,8 @@ class ArrayController {
   /// block `logical`, XOR-delta-updating only that byte range of every
   /// surviving parity the cell feeds. A zero-length range is a
   /// validated no-op; offset/len outside the block throw out_of_range.
-  /// A full-block range takes the whole-block path and is byte- and
-  /// I/O-count-identical to write(logical, in).
+  /// A full-block range is byte- and I/O-count-identical to
+  /// write(logical, in).
   void write_range(std::int64_t logical, std::int64_t offset,
                    std::span<const std::uint8_t> in);
   void read_range(std::int64_t logical, std::int64_t offset,
@@ -108,24 +105,18 @@ class ArrayController {
     std::int64_t offset = 0;
     std::span<const std::uint8_t> data;
   };
-  /// Batched sub-block writes. Entries are validated up front, grouped
-  /// by stripe, and applied in batch order within each stripe (later
-  /// entries win on overlap). Per stripe, the per-cell byte ranges are
-  /// unioned and the parity deltas of all touched cells are coalesced,
-  /// so each affected parity block is read and written at most once
-  /// per batch regardless of how many sub-writes feed it.
+  /// Batched sub-block writes. Entries are validated up front (one bad
+  /// entry rejects the batch before any I/O), grouped by stripe, and
+  /// applied in batch order within each stripe (later entries win on
+  /// overlap). Each affected parity block is read and written at most
+  /// once per batch regardless of how many sub-writes feed it.
   void write_range(std::span<const SubWrite> batch);
 
-  /// Delta-plane control (defaults: enabled, promote at 100%; the
-  /// C56_SUBBLOCK / C56_SUBBLOCK_PROMOTE_PCT environment knobs set
-  /// these at construction time). Disabling routes every sub-block
-  /// write through whole-block read-modify-write; the promotion
-  /// threshold widens ranges covering >= pct% of a block to the whole
-  /// block.
+  /// Delta-plane switch (default on). Off widens every partial cell
+  /// update to the whole block: the whole-block read-modify-write
+  /// baseline the small-write benchmark compares against.
   void set_subblock_delta(bool on) { subblock_delta_ = on; }
   bool subblock_delta() const { return subblock_delta_; }
-  void set_subblock_promote_pct(int pct);
-  int subblock_promote_pct() const { return subblock_promote_pct_; }
 
   /// Stripe cache control. n == 0 disables (the default, unless the
   /// C56_CACHE_STRIPES environment variable set a size at construction
@@ -160,7 +151,7 @@ class ArrayController {
     // Delta write plane.
     std::uint64_t subblock_writes = 0;      // sub-writes processed
     std::uint64_t delta_parities = 0;       // parities updated by range RMW
-    std::uint64_t subblock_promotions = 0;  // cells widened to whole-block
+    std::uint64_t subblock_promotions = 0;  // cells widened, delta plane off
   };
   PlannerCounters planner_counters() const;
 
@@ -229,34 +220,42 @@ class ArrayController {
   int disk_of(int col) const { return col - virtual_cols_; }
   int col_of(int disk) const { return disk + virtual_cols_; }
   std::int64_t block_of(std::int64_t stripe, int row) const {
-    return stripe * code_->rows() + row;
+    return stripe * rows_ + row;
   }
-  int flat_of(Cell c) const { return c.row * code_->cols() + c.col; }
+  int flat_of(Cell c) const { return c.row * cols_ + c.col; }
   bool cell_failed(Cell c) const;
-  /// Expanded data-cell inputs of the parity at flat index `pflat`.
-  std::span<const Cell> parity_inputs(int pflat) const;
+  /// Data indices of the expanded inputs of the parity at flat index
+  /// `pflat`.
+  std::span<const int> parity_inputs(int pflat) const;
   /// Parities fed by data cell index `idx` (CSR over flat arrays).
   std::span<const Cell> parities_of(int idx) const;
   /// Recovery recipes for the current failure set (lazily solved).
   const std::vector<RecoveryRecipe>& recipes();
-  void read_cell(std::int64_t stripe, Cell c, std::span<std::uint8_t> out);
   void reconstruct_cell(std::int64_t stripe, Cell c,
                         std::span<std::uint8_t> out);
   void invalidate_recovery_state();  // recipes + cache
-  // Batched-path stages (one stripe each; i0/n index the stripe's data
-  // cells in logical order).
-  void read_run(std::int64_t stripe, int i0, int n,
-                std::span<std::uint8_t> out);
-  void write_full_stripe(std::int64_t stripe,
-                         std::span<const std::uint8_t> in);
-  void write_partial_stripe(std::int64_t stripe, int i0, int n,
-                            std::span<const std::uint8_t> in);
-  // Delta-plane stage: sub-writes of one stripe, already validated, in
-  // batch order, applied under the stripe lock.
-  void write_subblock_stripe(std::int64_t stripe,
-                             std::span<const SubWrite> ops);
+
+  // The write planner (see header comment).
+  struct PlanStats {  // what one stripe's plan did, for the counters
+    bool full_stripe = false;
+    std::uint64_t direct = 0;    // parities computed with no pre-read
+    std::uint64_t rmw = 0;       // parities read-modify-written
+    std::uint64_t promoted = 0;  // partial cells widened (delta plane off)
+  };
+  struct Scratch;  // per-thread planner buffers
+  static Scratch& scratch();
+  /// Front-end tail: group validated, non-empty `ops` by stripe and
+  /// plan each stripe under its lock. `ranged` picks the counters.
+  void write_ops(std::span<SubWrite> ops, bool ranged);
+  /// Validated, non-empty updates of one stripe in batch order; the
+  /// caller holds the stripe lock.
+  PlanStats write_stripe(std::int64_t stripe, std::span<const SubWrite> ups);
+  /// The encode() branch; returns the parity cells written.
+  std::uint64_t write_full_stripe(std::int64_t stripe,
+                                  std::span<const SubWrite> ups);
   // Vectored cell I/O: both group the requested cells into per-column
-  // runs of consecutive rows and issue one DiskArray batch per run.
+  // runs of consecutive rows and issue one DiskArray batch per run
+  // (reordering `want`/`w` in place).
   struct CellFetch {
     Cell cell;
     int dst;  // block index inside the destination buffer
@@ -264,13 +263,13 @@ class ArrayController {
   /// Current logical values of the given cells (cache, then batched
   /// disk reads, reconstructing failed cells). use_cache=false for
   /// parity cells, which must never enter the data-cell cache.
-  void fetch_cells(std::int64_t stripe, std::span<const CellFetch> want,
+  void fetch_cells(std::int64_t stripe, std::span<CellFetch> want,
                    std::uint8_t* dst_blocks, bool use_cache);
   struct CellWrite {
     Cell cell;
     const std::uint8_t* src;  // one block
   };
-  void write_cells(std::int64_t stripe, std::span<const CellWrite> want);
+  void write_cells(std::int64_t stripe, std::span<CellWrite> w);
   void cache_fill(std::int64_t stripe, Cell c,
                   std::span<const std::uint8_t> v) {
     if (cache_) cache_->fill(stripe, flat_of(c), v);
@@ -288,6 +287,7 @@ class ArrayController {
 
   DiskArray& array_;
   std::unique_ptr<ErasureCode> code_;
+  int rows_, cols_;  // code_->rows()/cols(), kept off the virtual calls
   int virtual_cols_;
   std::int64_t stripes_;
 
@@ -299,7 +299,7 @@ class ArrayController {
   std::vector<int> parities_offset_;   // CSR: per data idx into ...
   std::vector<Cell> parities_cells_;   // ... this parity-cell pool
   std::vector<int> chain_offset_;      // CSR: flat parity -> inputs in ...
-  std::vector<Cell> chain_inputs_;     // ... this expanded-input pool
+  std::vector<int> chain_inputs_;      // ... this pool of data indices
   std::vector<int> chain_begin_;       // flat parity -> index into offsets
                                        // (-1 for non-parity cells)
 
@@ -311,9 +311,7 @@ class ArrayController {
   std::size_t cache_stripes_ = 0;
   int cache_shards_ = 8;  // StripeCache's historical default
 
-  // Delta write plane configuration (see set_subblock_delta).
-  bool subblock_delta_ = true;
-  int subblock_promote_pct_ = 100;
+  bool subblock_delta_ = true;  // see set_subblock_delta
 
   // Observability (updated only under obs::metrics_enabled()).
   obs::Counter ranged_reads_;

@@ -23,67 +23,49 @@ bool transient(IoStatus s) {
   return s == IoStatus::kSectorError || s == IoStatus::kTornWrite;
 }
 
+/// Issue `io` until it succeeds, fails permanently, or exhausts the
+/// policy, tallying each attempt into counters->*attempts.
+template <class Io>
+IoResult with_retry(const RetryPolicy& policy, IoCounters* counters,
+                    std::uint64_t IoCounters::*attempts, Io io) {
+  for (int attempt = 1;; ++attempt) {
+    const IoResult r = io();
+    if (counters) ++(counters->*attempts);
+    if (r.ok() || !transient(r.status) || attempt >= policy.max_attempts) {
+      return r;
+    }
+    if (counters) ++counters->retries;
+    backoff(policy, attempt, counters);
+  }
+}
+
 }  // namespace
 
 IoResult read_block_retry(DiskArray& a, int disk, std::int64_t block,
                           std::span<std::uint8_t> out,
                           const RetryPolicy& policy, IoCounters* counters) {
-  IoResult r;
-  for (int attempt = 1;; ++attempt) {
-    r = a.read_block(disk, block, out);
-    if (counters) ++counters->reads;
-    if (r.ok() || !transient(r.status) || attempt >= policy.max_attempts) {
-      return r;
-    }
-    if (counters) ++counters->retries;
-    backoff(policy, attempt, counters);
-  }
+  return read_range_retry(a, disk, block, 0, out, policy, counters);
 }
 
 IoResult write_block_retry(DiskArray& a, int disk, std::int64_t block,
                            std::span<const std::uint8_t> in,
                            const RetryPolicy& policy, IoCounters* counters) {
-  IoResult r;
-  for (int attempt = 1;; ++attempt) {
-    r = a.write_block(disk, block, in);
-    if (counters) ++counters->writes;
-    if (r.ok() || !transient(r.status) || attempt >= policy.max_attempts) {
-      return r;
-    }
-    if (counters) ++counters->retries;
-    backoff(policy, attempt, counters);
-  }
+  return write_range_retry(a, disk, block, 0, in, policy, counters);
 }
 
 IoResult read_range_retry(DiskArray& a, int disk, std::int64_t block,
                           std::size_t offset, std::span<std::uint8_t> out,
                           const RetryPolicy& policy, IoCounters* counters) {
-  IoResult r;
-  for (int attempt = 1;; ++attempt) {
-    r = a.read_range(disk, block, offset, out);
-    if (counters) ++counters->reads;
-    if (r.ok() || !transient(r.status) || attempt >= policy.max_attempts) {
-      return r;
-    }
-    if (counters) ++counters->retries;
-    backoff(policy, attempt, counters);
-  }
+  return with_retry(policy, counters, &IoCounters::reads,
+                    [&] { return a.read_range(disk, block, offset, out); });
 }
 
 IoResult write_range_retry(DiskArray& a, int disk, std::int64_t block,
                            std::size_t offset,
                            std::span<const std::uint8_t> in,
                            const RetryPolicy& policy, IoCounters* counters) {
-  IoResult r;
-  for (int attempt = 1;; ++attempt) {
-    r = a.write_range(disk, block, offset, in);
-    if (counters) ++counters->writes;
-    if (r.ok() || !transient(r.status) || attempt >= policy.max_attempts) {
-      return r;
-    }
-    if (counters) ++counters->retries;
-    backoff(policy, attempt, counters);
-  }
+  return with_retry(policy, counters, &IoCounters::writes,
+                    [&] { return a.write_range(disk, block, offset, in); });
 }
 
 IoResult xor_chain_read(DiskArray& a, std::span<const BlockAddr> sources,

@@ -42,7 +42,8 @@ IoResult write_block_retry(DiskArray& a, int disk, std::int64_t block,
                            const RetryPolicy& policy, IoCounters* counters);
 
 /// Sub-block variants: same retry discipline over DiskArray's range
-/// I/O. A torn range write is repaired by rewriting the whole range.
+/// I/O (the block forms above are their full-block case). A torn range
+/// write is repaired by rewriting the whole range.
 IoResult read_range_retry(DiskArray& a, int disk, std::int64_t block,
                           std::size_t offset, std::span<std::uint8_t> out,
                           const RetryPolicy& policy, IoCounters* counters);

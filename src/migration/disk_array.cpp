@@ -189,65 +189,20 @@ void DiskArray::corrupt_block(int disk, std::int64_t block, std::size_t offset,
 
 IoResult DiskArray::read_block(int disk, std::int64_t block,
                                std::span<std::uint8_t> out) {
-  // Counted-I/O entry: attribute this call's wall time to the device
-  // stage of whatever request is executing on this thread.
-  obs::DeviceSpan dspan;
   check(disk, block);
   if (out.size() != block_bytes_) {
     throw std::invalid_argument("DiskArray::read_block: bad buffer size");
   }
-  Disk& d = *disks_[static_cast<std::size_t>(disk)];
-  d.reads.inc();
-  d.read_runs.inc();
-  d.read_bytes.inc(block_bytes_);
-  const std::uint64_t ord = d.ios.fetch_add(1, std::memory_order_relaxed);
-  if (ord >= d.fail_after.load(std::memory_order_relaxed)) {
-    mark_failed(d);
-  }
-  if (d.failed.load()) return IoResult::fail(IoStatus::kDiskFailed, disk, block);
-  if (injecting_ &&
-      (is_bad(disk, block) || roll(sector_error_rate_))) {
-    sector_errors_.inc();
-    return IoResult::fail(IoStatus::kSectorError, disk, block);
-  }
-  const auto src = d.data.span().subspan(
-      static_cast<std::size_t>(block) * block_bytes_, block_bytes_);
-  std::memcpy(out.data(), src.data(), block_bytes_);
-  return IoResult::success();
+  return read_range(disk, block, 0, out);
 }
 
 IoResult DiskArray::write_block(int disk, std::int64_t block,
                                 std::span<const std::uint8_t> in) {
-  obs::DeviceSpan dspan;
   check(disk, block);
   if (in.size() != block_bytes_) {
     throw std::invalid_argument("DiskArray::write_block: bad buffer size");
   }
-  Disk& d = *disks_[static_cast<std::size_t>(disk)];
-  d.writes.inc();
-  d.write_runs.inc();
-  d.write_bytes.inc(block_bytes_);
-  const std::uint64_t ord = d.ios.fetch_add(1, std::memory_order_relaxed);
-  if (ord >= d.fail_after.load(std::memory_order_relaxed)) {
-    mark_failed(d);
-  }
-  if (d.failed.load()) return IoResult::fail(IoStatus::kDiskFailed, disk, block);
-  const auto dst = d.data.span().subspan(
-      static_cast<std::size_t>(block) * block_bytes_, block_bytes_);
-  if (injecting_ && roll(torn_write_rate_)) {
-    std::memcpy(dst.data(), in.data(), block_bytes_ / 2);
-    torn_writes_.inc();
-    return IoResult::fail(IoStatus::kTornWrite, disk, block);
-  }
-  std::memcpy(dst.data(), in.data(), block_bytes_);
-  if (injecting_) {
-    clear_bad(disk, block);  // successful rewrite remaps
-    if (const auto rot = rot_for_write(disk, block)) {
-      dst[rot->first] ^= rot->second;  // silent: still reported as ok
-      silent_corruptions_.inc();
-    }
-  }
-  return IoResult::success();
+  return write_range(disk, block, 0, in);
 }
 
 void DiskArray::check_range(int disk, std::int64_t block, std::size_t offset,
@@ -264,6 +219,8 @@ void DiskArray::check_range(int disk, std::int64_t block, std::size_t offset,
 IoResult DiskArray::read_range(int disk, std::int64_t block,
                                std::size_t offset,
                                std::span<std::uint8_t> out) {
+  // Counted-I/O entry: attribute this call's wall time to the device
+  // stage of whatever request is executing on this thread.
   obs::DeviceSpan dspan;
   check_range(disk, block, offset, out.size());
   Disk& d = *disks_[static_cast<std::size_t>(disk)];

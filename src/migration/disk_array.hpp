@@ -47,10 +47,11 @@ class DiskArray {
   std::span<const std::uint8_t> raw_blocks(int disk, std::int64_t block,
                                            std::int64_t count) const;
 
-  /// Counted accesses. Bounds are checked (std::out_of_range names the
-  /// offending coordinates); injected faults surface in the IoResult
-  /// instead of silently succeeding. A read on a failed disk transfers
-  /// nothing; a torn write persists only the first half of the block.
+  /// Counted accesses: the full-block case of read_range/write_range.
+  /// Bounds are checked (std::out_of_range names the offending
+  /// coordinates); injected faults surface in the IoResult instead of
+  /// silently succeeding. A read on a failed disk transfers nothing; a
+  /// torn write persists only the first half of the block.
   IoResult read_block(int disk, std::int64_t block,
                       std::span<std::uint8_t> out);
   IoResult write_block(int disk, std::int64_t block,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -310,45 +311,46 @@ void OnlineMigrator::abort_from_io(std::string reason) {
   cv_.notify_all();
 }
 
+void OnlineMigrator::account(const IoCounters& c, bool conversion,
+                             std::uint64_t degraded) {
+  std::lock_guard sk(stats_mu_);
+  (conversion ? stats_.conv_reads : stats_.app_reads) += c.reads;
+  (conversion ? stats_.conv_writes : stats_.app_writes) += c.writes;
+  stats_.retries += c.retries;
+  stats_.backoff_us += c.backoff_us;
+  stats_.degraded_writes += degraded;
+}
+
 IoResult OnlineMigrator::read_source(int disk, std::int64_t block,
+                                     std::size_t offset,
                                      std::span<std::uint8_t> out,
-                                     bool conversion) {
-  IoCounters c;
-  bool reconstructed = false;
+                                     IoCounters& c, bool conversion) {
   IoResult r = IoResult::fail(IoStatus::kDiskFailed, disk, block);
   if (!array_.disk_failed(disk)) {
-    r = read_block_retry(array_, disk, block, out, retry_, &c);
+    r = read_range_retry(array_, disk, block, offset, out, retry_, &c);
   }
-  if (!r.ok() && disk < m_) {
-    // Reconstruct through the RAID-5 horizontal parity: every row of
-    // the source array XORs to zero, so the block is the XOR of the
-    // other m-1 blocks of its row (works for data and parity cells
-    // alike, and for hard sector errors as well as whole-disk loss).
-    std::vector<BlockAddr> srcs;
-    srcs.reserve(static_cast<std::size_t>(m_ - 1));
-    bool possible = true;
-    for (int d = 0; d < m_; ++d) {
-      if (d == disk) continue;
-      if (array_.disk_failed(d)) {
-        possible = false;
-        break;
-      }
-      srcs.push_back({d, block});
-    }
-    if (possible) {
-      const IoResult rr = xor_chain_read(array_, srcs, out, retry_, &c);
-      if (rr.ok()) reconstructed = true;
-      r = rr;
-    }
+  if (r.ok() || disk >= m_) return r;
+  // Reconstruct through the RAID-5 horizontal parity: every row of the
+  // source array XORs to zero, so the block is the XOR of the other m-1
+  // blocks of its row (works for data and parity cells alike, and for
+  // hard sector errors as well as whole-disk loss). The row XOR covers
+  // whole blocks; only the range is kept.
+  std::vector<BlockAddr> srcs;
+  srcs.reserve(static_cast<std::size_t>(m_ - 1));
+  for (int d = 0; d < m_; ++d) {
+    if (d == disk) continue;
+    if (array_.disk_failed(d)) return r;
+    srcs.push_back({d, block});
   }
+  PooledBuffer whole(array_.block_bytes());
+  r = xor_chain_read(array_, srcs, whole.span(), retry_, &c);
+  if (!r.ok()) return r;
+  std::memcpy(out.data(), whole.data() + offset, out.size());
   {
     std::lock_guard sk(stats_mu_);
-    (conversion ? stats_.conv_reads : stats_.app_reads) += c.reads;
-    stats_.retries += c.retries;
-    stats_.backoff_us += c.backoff_us;
-    if (reconstructed) ++stats_.reconstructed_reads;
+    ++stats_.reconstructed_reads;
   }
-  if (reconstructed && events_) {
+  if (events_) {
     emit_event(obs::EventLevel::kWarn,
                std::string("read served by parity reconstruction (") +
                    (conversion ? "conversion" : "application") + " flow)",
@@ -367,26 +369,21 @@ IoResult OnlineMigrator::generate_diag(std::int64_t group, int diag_row) {
   PooledBuffer acc(bs);
   std::vector<const std::uint8_t*> srcs;
   srcs.reserve(static_cast<std::size_t>(p - 2));
-  for (int j = 0; j <= p - 2; ++j) {
+  IoCounters c;
+  IoResult res = IoResult::success();
+  for (int j = 0; j <= p - 2 && res.ok(); ++j) {
     if (j == diag_row) continue;
     const int r = pmod(diag_row - 1 - j, p);
     auto slot = arena.block(srcs.size(), bs);
-    const IoResult res =
-        read_source(j, group * (p - 1) + r, slot, /*conversion=*/true);
-    if (!res.ok()) return res;
+    res = read_source(j, group * (p - 1) + r, 0, slot, c, /*conversion=*/true);
     srcs.push_back(slot.data());
   }
-  xor_accumulate(acc.span(), srcs);
-  IoCounters c;
-  const IoResult res =
-      write_block_retry(array_, new_disk_, group * (p - 1) + diag_row,
-                        acc.span(), retry_, &c);
-  {
-    std::lock_guard sk(stats_mu_);
-    stats_.conv_writes += c.writes;
-    stats_.retries += c.retries;
-    stats_.backoff_us += c.backoff_us;
+  if (res.ok()) {
+    xor_accumulate(acc.span(), srcs);
+    res = write_block_retry(array_, new_disk_, group * (p - 1) + diag_row,
+                            acc.span(), retry_, &c);
   }
+  account(c, /*conversion=*/true);
   return res;
 }
 
@@ -396,25 +393,25 @@ int OnlineMigrator::first_stale_diag(std::int64_t group, int upto) {
   PooledBuffer arena(bs * static_cast<std::size_t>(p - 2));
   PooledBuffer acc(bs);
   std::vector<const std::uint8_t*> srcs;
-  for (int i = 0; i < upto; ++i) {
+  IoCounters c;
+  int i = 0;
+  for (; i < upto; ++i) {
     srcs.clear();
     bool readable = true;
-    for (int j = 0; j <= p - 2; ++j) {
+    for (int j = 0; j <= p - 2 && readable; ++j) {
       if (j == i) continue;
       const int r = pmod(i - 1 - j, p);
       auto slot = arena.block(srcs.size(), bs);
-      if (!read_source(j, group * (p - 1) + r, slot, true).ok()) {
-        readable = false;  // unreadable chain: let the conversion retry it
-        break;
-      }
+      readable = read_source(j, group * (p - 1) + r, 0, slot, c, true).ok();
       srcs.push_back(slot.data());
     }
-    if (!readable) return i;
+    if (!readable) break;  // unreadable chain: let the conversion retry it
     xor_accumulate(acc.span(), srcs);
     const auto stored = array_.raw_block(new_disk_, group * (p - 1) + i);
-    if (!std::ranges::equal(acc.span(), stored)) return i;
+    if (!std::ranges::equal(acc.span(), stored)) break;
   }
-  return upto;
+  account(c, /*conversion=*/true);
+  return i;
 }
 
 std::int64_t OnlineMigrator::claim_group(int w) {
@@ -541,66 +538,82 @@ IoResult OnlineMigrator::read_block(std::int64_t logical,
   const Locus l = locate(logical);
   std::shared_lock ops(ops_mu_);
   std::lock_guard gl(group_lock(l.group));
-  return read_source(l.disk, l.block, out, /*conversion=*/false);
+  IoCounters c;
+  const IoResult r = read_source(l.disk, l.block, 0, out, c, false);
+  account(c, /*conversion=*/false);
+  return r;
 }
 
 IoResult OnlineMigrator::write_block(std::int64_t logical,
                                      std::span<const std::uint8_t> in) {
+  return update(logical, 0, in);
+}
+
+IoResult OnlineMigrator::write_range(std::int64_t logical, std::size_t offset,
+                                     std::span<const std::uint8_t> in) {
+  return update(logical, offset, in);
+}
+
+IoResult OnlineMigrator::update(std::int64_t logical, std::size_t offset,
+                                std::span<const std::uint8_t> in) {
+  const std::size_t bs = array_.block_bytes();
+  if (offset > bs || in.size() > bs - offset) {
+    throw std::out_of_range("OnlineMigrator: write range outside the block");
+  }
+  if (in.empty()) return IoResult::success();  // validated no-op
   const Locus l = locate(logical);
   const int p = code_.p();
+  // A pending writer preempts the conversion workers between rows
+  // (Algorithm 2, "interrupt the conversion thread"); they are woken
+  // once the write is out of the way (or bailed out).
   pending_writers_.fetch_add(1);
-  // Wake the workers once the write is out of the way (or bailed out).
   struct Notifier {
     std::condition_variable& cv;
     ~Notifier() { cv.notify_all(); }
   } notify{cv_};
   std::shared_lock ops(ops_mu_);
-  std::unique_lock gl(group_lock(l.group));
+  std::lock_guard gl(group_lock(l.group));
   pending_writers_.fetch_sub(1);
   if (running_.load()) {
     std::lock_guard sk(stats_mu_);
     ++stats_.interruptions;
   }
 
-  const std::size_t bs = array_.block_bytes();
-  PooledBuffer old_data(bs), delta(bs), par(bs);
-  const IoResult oldr = read_source(l.disk, l.block, old_data.span(), false);
+  // Every parity chain is bytewise, so only the range moves: each
+  // parity gets parity[offset, offset + len) ^= new ^ old.
+  IoCounters c;
+  std::uint64_t degraded = 0;
+  // Block-sized pool buffers (the pool buckets by exact size), used
+  // over the range only.
+  PooledBuffer old_buf(bs), par_buf(bs);
+  const std::span<std::uint8_t> old = old_buf.span().first(in.size());
+  const std::span<std::uint8_t> par = par_buf.span().first(in.size());
+  const IoResult oldr = read_source(l.disk, l.block, offset, old, c,
+                                    /*conversion=*/false);
   if (!oldr.ok()) {
     // The pre-image is gone: the write (and the block) cannot be kept
     // consistent. Mid-conversion this is the data-loss event Table VI
     // prices, so the migration aborts.
+    account(c, false);
     abort_from_io("application write lost logical block " +
                   std::to_string(logical) + ": " + describe(oldr));
     return oldr;
   }
-  xor_to(delta.data(), old_data.data(), in.data(), bs);
 
   // Horizontal parity: always maintained (it is the RAID-5 parity).
+  // read_source also recovers a latent sector error under the parity
+  // block itself (the row XOR reconstructs parity cells too).
   const int hpar_disk = p - 2 - l.row;
   bool parity_updated = false;
-  if (!array_.disk_failed(hpar_disk)) {
-    // read_source also recovers a latent sector error under the parity
-    // block itself (the row XOR reconstructs parity cells too).
-    const IoResult r = read_source(hpar_disk, l.block, par.span(), false);
-    if (r.ok()) {
-      xor_into(par.span(), delta.span());
-      IoCounters c;
-      const IoResult w =
-          write_block_retry(array_, hpar_disk, l.block, par.span(), retry_, &c);
-      {
-        std::lock_guard sk(stats_mu_);
-        stats_.app_writes += c.writes;
-        stats_.retries += c.retries;
-        stats_.backoff_us += c.backoff_us;
-      }
-      parity_updated = w.ok();
-    }
+  if (!array_.disk_failed(hpar_disk) &&
+      read_source(hpar_disk, l.block, offset, par, c, false).ok()) {
+    xor_delta_into(par, old, in);
+    parity_updated =
+        write_range_retry(array_, hpar_disk, l.block, offset, par, retry_, &c)
+            .ok();
   }
   if (!parity_updated) {
-    {
-      std::lock_guard sk(stats_mu_);
-      ++stats_.degraded_writes;
-    }
+    ++degraded;
     if (events_) {
       emit_event(obs::EventLevel::kWarn,
                  "degraded write: horizontal parity not updated for logical "
@@ -610,283 +623,53 @@ IoResult OnlineMigrator::write_block(std::int64_t logical,
     }
   }
 
-  // Data block itself.
+  // Data itself.
   bool data_written = false;
   if (!array_.disk_failed(l.disk)) {
-    IoCounters c;
-    const IoResult w =
-        write_block_retry(array_, l.disk, l.block, in, retry_, &c);
-    {
-      std::lock_guard sk(stats_mu_);
-      stats_.app_writes += c.writes;
-      stats_.retries += c.retries;
-      stats_.backoff_us += c.backoff_us;
-    }
-    data_written = w.ok();
+    data_written =
+        write_range_retry(array_, l.disk, l.block, offset, in, retry_, &c)
+            .ok();
   } else {
-    std::lock_guard sk(stats_mu_);
-    ++stats_.degraded_writes;
+    ++degraded;
   }
-
   if (!data_written && !parity_updated) {
     // Neither replica of the update is durable: unrecoverable.
-    const IoResult res = IoResult::fail(IoStatus::kDiskFailed, l.disk, l.block);
+    account(c, false, degraded);
     abort_from_io("application write lost logical block " +
                   std::to_string(logical) + ": data and parity disks failed");
-    return res;
+    return IoResult::fail(IoStatus::kDiskFailed, l.disk, l.block);
   }
 
   // Diagonal parity: only if this block's diagonal chain is already on
   // the new disk (otherwise the group's owner will fold the new value
   // in). rows_done_ is read under the same group lock the owner stores
-  // it under, so the check cannot race a half-written diagonal.
+  // it under, so the check cannot race a half-written diagonal. Every
+  // data cell is on exactly one diagonal chain, so diag_row is valid.
   if (new_disk_ >= 0) {
     const int diag_row = pmod(l.row + l.disk + 1, p);
-    const bool generated =
-        rows_done_[l.group].load(std::memory_order_acquire) > diag_row;
-    // The horizontal-parity anti-diagonal (row + col == p-2) is on no
-    // diagonal chain -- but locate() only yields data cells, and every
-    // data cell is on exactly one chain, so diag_row is always valid.
-    if (generated) {
+    if (rows_done_[l.group].load(std::memory_order_acquire) > diag_row) {
+      const std::int64_t db = l.group * (p - 1) + diag_row;
+      IoResult r = IoResult::fail(IoStatus::kDiskFailed, new_disk_, db);
       if (!array_.disk_failed(new_disk_)) {
-        const std::int64_t db = l.group * (p - 1) + diag_row;
-        IoCounters c;
-        const IoResult r =
-            read_block_retry(array_, new_disk_, db, par.span(), retry_, &c);
-        {
-          std::lock_guard sk(stats_mu_);
-          stats_.app_reads += c.reads;
-          stats_.retries += c.retries;
-          stats_.backoff_us += c.backoff_us;
+        r = read_range_retry(array_, new_disk_, db, offset, par, retry_, &c);
+      }
+      if (r.ok()) {
+        xor_delta_into(par, old, in);
+        if (!write_range_retry(array_, new_disk_, db, offset, par, retry_, &c)
+                 .ok()) {
+          ++degraded;
         }
-        if (r.ok()) {
-          const IoResult w = [&] {
-            xor_into(par.span(), delta.span());
-            IoCounters wc;
-            const IoResult res = write_block_retry(array_, new_disk_, db,
-                                                   par.span(), retry_, &wc);
-            {
-              std::lock_guard sk(stats_mu_);
-              stats_.app_writes += wc.writes;
-              stats_.retries += wc.retries;
-              stats_.backoff_us += wc.backoff_us;
-            }
-            return res;
-          }();
-          if (!w.ok()) {
-            std::lock_guard sk(stats_mu_);
-            ++stats_.degraded_writes;
-          }
-        } else if (r.status == IoStatus::kSectorError) {
-          // The stored diagonal parity is unreadable: regenerate its
-          // whole chain from the (already updated) data. Counted as
-          // conversion I/O, which is what the regeneration is.
-          generate_diag(l.group, diag_row);
-        } else {
-          std::lock_guard sk(stats_mu_);
-          ++stats_.degraded_writes;
-        }
+      } else if (r.status == IoStatus::kSectorError) {
+        // The stored diagonal parity is unreadable: regenerate its
+        // whole chain from the (already updated) data. Counted as
+        // conversion I/O, which is what the regeneration is.
+        generate_diag(l.group, diag_row);
       } else {
-        std::lock_guard sk(stats_mu_);
-        ++stats_.degraded_writes;
+        ++degraded;
       }
     }
   }
-
-  return IoResult::success();
-}
-
-IoResult OnlineMigrator::write_range(std::int64_t logical, std::size_t offset,
-                                     std::span<const std::uint8_t> in) {
-  const std::size_t bs = array_.block_bytes();
-  if (offset > bs || in.size() > bs - offset) {
-    throw std::out_of_range("OnlineMigrator::write_range: bad range");
-  }
-  if (in.empty()) return IoResult::success();  // validated no-op
-  if (offset == 0 && in.size() == bs) return write_block(logical, in);
-
-  const Locus l = locate(logical);
-  const int p = code_.p();
-  const std::size_t len = in.size();
-  pending_writers_.fetch_add(1);
-  // Wake the workers once the write is out of the way (or bailed out).
-  struct Notifier {
-    std::condition_variable& cv;
-    ~Notifier() { cv.notify_all(); }
-  } notify{cv_};
-  std::shared_lock ops(ops_mu_);
-  std::unique_lock gl(group_lock(l.group));
-  pending_writers_.fetch_sub(1);
-  if (running_.load()) {
-    std::lock_guard sk(stats_mu_);
-    ++stats_.interruptions;
-  }
-
-  // Old bytes of the range: a ranged read off the healthy disk, else a
-  // whole-block reconstruction through the horizontal parity (the XOR
-  // chains cover full blocks; only the range is used downstream).
-  PooledBuffer old_blk(bs), par(bs);
-  bool have_old = false;
-  if (!array_.disk_failed(l.disk)) {
-    IoCounters c;
-    const IoResult r = read_range_retry(array_, l.disk, l.block, offset,
-                                        old_blk.span().subspan(offset, len),
-                                        retry_, &c);
-    {
-      std::lock_guard sk(stats_mu_);
-      stats_.app_reads += c.reads;
-      stats_.retries += c.retries;
-      stats_.backoff_us += c.backoff_us;
-    }
-    have_old = r.ok();
-  }
-  if (!have_old) {
-    const IoResult oldr = read_source(l.disk, l.block, old_blk.span(), false);
-    if (!oldr.ok()) {
-      // The pre-image is gone: the write (and the block) cannot be kept
-      // consistent — the same data-loss event write_block aborts on.
-      abort_from_io("application write lost logical block " +
-                    std::to_string(logical) + ": " + describe(oldr));
-      return oldr;
-    }
-  }
-  const std::span<const std::uint8_t> old_range =
-      old_blk.span().subspan(offset, len);
-
-  // Horizontal parity: always maintained (it is the RAID-5 parity).
-  // parity[offset, offset+len) ^= new ^ old — the chain is bytewise, so
-  // the delta lands at the same intra-block offset.
-  const int hpar_disk = p - 2 - l.row;
-  bool parity_updated = false;
-  if (!array_.disk_failed(hpar_disk)) {
-    IoCounters c;
-    IoResult r = read_range_retry(array_, hpar_disk, l.block, offset,
-                                  par.span().subspan(offset, len), retry_, &c);
-    {
-      std::lock_guard sk(stats_mu_);
-      stats_.app_reads += c.reads;
-      stats_.retries += c.retries;
-      stats_.backoff_us += c.backoff_us;
-    }
-    bool have_full_par = false;
-    if (!r.ok()) {
-      // A latent sector error under the parity range: recover the whole
-      // block through the row XOR, exactly as write_block does.
-      r = read_source(hpar_disk, l.block, par.span(), false);
-      have_full_par = r.ok();
-    }
-    if (r.ok()) {
-      xor_delta_into(par.span().subspan(offset, len), old_range, in);
-      IoCounters wc;
-      const IoResult w =
-          have_full_par
-              ? write_block_retry(array_, hpar_disk, l.block, par.span(),
-                                  retry_, &wc)
-              : write_range_retry(array_, hpar_disk, l.block, offset,
-                                  par.span().subspan(offset, len), retry_,
-                                  &wc);
-      {
-        std::lock_guard sk(stats_mu_);
-        stats_.app_writes += wc.writes;
-        stats_.retries += wc.retries;
-        stats_.backoff_us += wc.backoff_us;
-      }
-      parity_updated = w.ok();
-    }
-  }
-  if (!parity_updated) {
-    {
-      std::lock_guard sk(stats_mu_);
-      ++stats_.degraded_writes;
-    }
-    if (events_) {
-      emit_event(obs::EventLevel::kWarn,
-                 "degraded write: horizontal parity not updated for logical "
-                 "block " +
-                     std::to_string(logical),
-                 l.group, -1, hpar_disk, l.block, "degraded_write");
-    }
-  }
-
-  // Data range itself.
-  bool data_written = false;
-  if (!array_.disk_failed(l.disk)) {
-    IoCounters c;
-    const IoResult w =
-        write_range_retry(array_, l.disk, l.block, offset, in, retry_, &c);
-    {
-      std::lock_guard sk(stats_mu_);
-      stats_.app_writes += c.writes;
-      stats_.retries += c.retries;
-      stats_.backoff_us += c.backoff_us;
-    }
-    data_written = w.ok();
-  } else {
-    std::lock_guard sk(stats_mu_);
-    ++stats_.degraded_writes;
-  }
-
-  if (!data_written && !parity_updated) {
-    // Neither replica of the update is durable: unrecoverable.
-    const IoResult res = IoResult::fail(IoStatus::kDiskFailed, l.disk, l.block);
-    abort_from_io("application write lost logical block " +
-                  std::to_string(logical) + ": data and parity disks failed");
-    return res;
-  }
-
-  // Diagonal parity: the trust-domain rule is write_block's — delta
-  // only into a chain the conversion watermark has already generated;
-  // an unconverted group's owner folds the new value in when it gets
-  // there. rows_done_ is read under the same group lock the owner
-  // stores it under.
-  if (new_disk_ >= 0) {
-    const int diag_row = pmod(l.row + l.disk + 1, p);
-    const bool generated =
-        rows_done_[l.group].load(std::memory_order_acquire) > diag_row;
-    if (generated) {
-      if (!array_.disk_failed(new_disk_)) {
-        const std::int64_t db = l.group * (p - 1) + diag_row;
-        IoCounters c;
-        const IoResult r =
-            read_range_retry(array_, new_disk_, db, offset,
-                             par.span().subspan(offset, len), retry_, &c);
-        {
-          std::lock_guard sk(stats_mu_);
-          stats_.app_reads += c.reads;
-          stats_.retries += c.retries;
-          stats_.backoff_us += c.backoff_us;
-        }
-        if (r.ok()) {
-          xor_delta_into(par.span().subspan(offset, len), old_range, in);
-          IoCounters wc;
-          const IoResult w =
-              write_range_retry(array_, new_disk_, db, offset,
-                                par.span().subspan(offset, len), retry_, &wc);
-          {
-            std::lock_guard sk(stats_mu_);
-            stats_.app_writes += wc.writes;
-            stats_.retries += wc.retries;
-            stats_.backoff_us += wc.backoff_us;
-          }
-          if (!w.ok()) {
-            std::lock_guard sk(stats_mu_);
-            ++stats_.degraded_writes;
-          }
-        } else if (r.status == IoStatus::kSectorError) {
-          // The stored diagonal parity is unreadable: regenerate its
-          // whole chain from the (already updated) data.
-          generate_diag(l.group, diag_row);
-        } else {
-          std::lock_guard sk(stats_mu_);
-          ++stats_.degraded_writes;
-        }
-      } else {
-        std::lock_guard sk(stats_mu_);
-        ++stats_.degraded_writes;
-      }
-    }
-  }
-
+  account(c, false, degraded);
   return IoResult::success();
 }
 

@@ -271,11 +271,7 @@ void Volume::run_reads(std::span<QueuedOp*> reads) {
     Status st = Status::kOk;
     try {
       if (j == i) {
-        if (op->req.count == 1) {
-          ctrl_->read(op->req.logical, op->req.out);
-        } else {
-          ctrl_->read(op->req.logical, total, op->req.out);
-        }
+        ctrl_->read(op->req.logical, total, op->req.out);
       } else {
         PooledBuffer staging(static_cast<std::size_t>(total) * bs);
         ctrl_->read(op->req.logical, total, staging.span());
