@@ -33,9 +33,19 @@ DiskArray::DiskArray(int disks, std::int64_t blocks_per_disk,
 }
 
 int DiskArray::add_disk() {
+  return add_disk(
+      Buffer(static_cast<std::size_t>(blocks_per_disk_) * block_bytes_));
+}
+
+int DiskArray::add_disk(Buffer storage) {
+  if (storage.size() !=
+      static_cast<std::size_t>(blocks_per_disk_) * block_bytes_) {
+    throw std::invalid_argument("DiskArray::add_disk: storage of " +
+                                std::to_string(storage.size()) +
+                                " bytes does not match the disk size");
+  }
   auto disk = std::make_unique<Disk>();
-  disk->data = Buffer(static_cast<std::size_t>(blocks_per_disk_) *
-                      block_bytes_);
+  disk->data = std::move(storage);
   // Exclusive vs the metrics collector's shared walk: the push_back may
   // reallocate the table, which must not happen under a snapshot.
   std::unique_lock lk(geom_mu_);

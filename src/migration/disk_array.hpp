@@ -33,6 +33,11 @@ class DiskArray {
 
   /// Append a zeroed disk (the "add a new disk" step of Algorithm 2).
   int add_disk();
+  /// Append a disk whose image the caller built beforehand, e.g. outside
+  /// a lock that quiesces I/O. `storage` must hold exactly
+  /// blocks_per_disk() * block_bytes() bytes (std::invalid_argument
+  /// otherwise). Only the table insert happens here.
+  int add_disk(Buffer storage);
 
   /// Raw access to a block's storage (no counter update, no fault
   /// injection — the setup/verification backdoor). Throws

@@ -133,16 +133,29 @@ int OnlineMigrator::workers() const {
   return workers_requested_;
 }
 
+Buffer OnlineMigrator::provision_new_disk() const {
+  {
+    std::shared_lock ops(ops_mu_);  // new_disk_ changes only under it
+    if (new_disk_ >= 0) return {};
+  }
+  return Buffer(static_cast<std::size_t>(array_.blocks_per_disk()) *
+                array_.block_bytes());
+}
+
 void OnlineMigrator::start() {
   // Exclusive ops gate: Step 2 grows the array's disk table, which
   // must not reallocate under concurrent app I/O indexing it. This is
-  // the only quiesce start() needs, and it lasts one push_back.
+  // the only quiesce start() needs; the disk image is built before it,
+  // so it lasts one push_back.
+  Buffer storage = provision_new_disk();
   std::unique_lock ops(ops_mu_);
   std::lock_guard lk(mu_);
   if (state_ != MigrationState::kIdle) {
     throw std::logic_error("OnlineMigrator: already started");
   }
-  if (new_disk_ < 0) new_disk_ = array_.add_disk();  // Step 2
+  if (new_disk_ < 0) {
+    new_disk_ = array_.add_disk(std::move(storage));  // Step 2
+  }
   start_group_ = 0;
   start_row_ = 0;
   groups_done_.store(0);
@@ -160,6 +173,7 @@ void OnlineMigrator::start() {
 
 void OnlineMigrator::resume() {
   finish();  // join stopped workers before restarting
+  Buffer storage = provision_new_disk();
   std::unique_lock ops(ops_mu_);  // exclude app I/O while re-verifying
   std::lock_guard lk(mu_);
   switch (state_) {
@@ -173,7 +187,7 @@ void OnlineMigrator::resume() {
     case MigrationState::kAborted:
       throw std::logic_error("resume: migration aborted: " + abort_reason_);
   }
-  if (new_disk_ < 0) new_disk_ = array_.add_disk();
+  if (new_disk_ < 0) new_disk_ = array_.add_disk(std::move(storage));
   const int p = code_.p();
   std::int64_t g = groups_done_.load();
   int rows = g < groups_ ? rows_done_[g].load() : 0;
@@ -359,56 +373,123 @@ IoResult OnlineMigrator::read_source(int disk, std::int64_t block,
   return r;
 }
 
-IoResult OnlineMigrator::generate_diag(std::int64_t group, int diag_row) {
-  // Chain for diagonal parity row i (Eq. 2): data cells
-  // (<i-1-j> mod p, j), j != i. The chain members are staged into one
-  // arena, then folded with a single accumulate pass.
-  const int p = code_.p();
+IoResult OnlineMigrator::read_source_run(int disk, std::int64_t block,
+                                         std::int64_t count,
+                                         std::span<std::uint8_t> out,
+                                         IoCounters& c) {
   const std::size_t bs = array_.block_bytes();
-  PooledBuffer arena(bs * static_cast<std::size_t>(p - 2));
-  PooledBuffer acc(bs);
+  std::int64_t k = 0;
+  if (!array_.disk_failed(disk)) {
+    c.reads += static_cast<std::uint64_t>(count);
+    const IoResult r = array_.read_blocks(disk, block, count, out);
+    if (r.ok()) return r;
+    k = r.block - block;  // the blocks before the fault are transferred
+    // The run was the first attempt at the faulting block.
+    if (r.status == IoStatus::kSectorError) ++c.retries;
+  }
+  for (; k < count; ++k) {
+    const IoResult r =
+        read_source(disk, block + k, 0,
+                    out.subspan(static_cast<std::size_t>(k) * bs, bs), c,
+                    /*conversion=*/true);
+    if (!r.ok()) return r;
+  }
+  return IoResult::success();
+}
+
+IoResult OnlineMigrator::fold_diags(std::int64_t group, int lo, int hi,
+                                    std::span<std::uint8_t> out,
+                                    IoCounters& c) {
+  // Chain for diagonal parity row i (Eq. 2): data cells
+  // (<i-1-j> mod p, j), j != i. Every data cell is on exactly one chain
+  // and no horizontal-parity cell (row p-2-j of column j) is on any, so
+  // a full group stages each source column minus its parity cell: one
+  // run above it and one below. Cell (r, j) lands in arena slot
+  // j*(p-1) + r, so a run of one column fills consecutive slots.
+  const int p = code_.p();
+  const int rows = p - 1;
+  const std::size_t bs = array_.block_bytes();
+  const std::int64_t base = group * rows;
+  PooledBuffer arena(bs * static_cast<std::size_t>(rows * rows));
+  const auto slot = [&](int r, int j) {
+    return static_cast<std::size_t>(j * rows + r) * bs;
+  };
+  std::vector<char> need(static_cast<std::size_t>(rows));
+  for (int j = 0; j < rows; ++j) {
+    // Rows of column j on the chains of diagonal rows [lo, hi), read as
+    // one run per stretch of consecutive rows.
+    std::ranges::fill(need, 0);
+    for (int i = lo; i < hi; ++i) {
+      if (i != j) need[static_cast<std::size_t>(pmod(i - 1 - j, p))] = 1;
+    }
+    for (int r = 0; r < rows;) {
+      if (!need[static_cast<std::size_t>(r)]) {
+        ++r;
+        continue;
+      }
+      int e = r + 1;
+      while (e < rows && need[static_cast<std::size_t>(e)]) ++e;
+      const IoResult res = read_source_run(
+          j, base + r, e - r,
+          arena.span().subspan(slot(r, j), static_cast<std::size_t>(e - r) * bs),
+          c);
+      if (!res.ok()) return res;
+      r = e;
+    }
+  }
   std::vector<const std::uint8_t*> srcs;
   srcs.reserve(static_cast<std::size_t>(p - 2));
-  IoCounters c;
-  IoResult res = IoResult::success();
-  for (int j = 0; j <= p - 2 && res.ok(); ++j) {
-    if (j == diag_row) continue;
-    const int r = pmod(diag_row - 1 - j, p);
-    auto slot = arena.block(srcs.size(), bs);
-    res = read_source(j, group * (p - 1) + r, 0, slot, c, /*conversion=*/true);
-    srcs.push_back(slot.data());
+  for (int i = lo; i < hi; ++i) {
+    srcs.clear();
+    for (int j = 0; j < rows; ++j) {
+      if (j != i) srcs.push_back(arena.data() + slot(pmod(i - 1 - j, p), j));
+    }
+    xor_accumulate(out.subspan(static_cast<std::size_t>(i - lo) * bs, bs),
+                   srcs);
   }
-  if (res.ok()) {
-    xor_accumulate(acc.span(), srcs);
-    res = write_block_retry(array_, new_disk_, group * (p - 1) + diag_row,
-                            acc.span(), retry_, &c);
+  return IoResult::success();
+}
+
+IoResult OnlineMigrator::generate_diags(std::int64_t group, int lo, int hi,
+                                        IoCounters& c) {
+  if (lo == hi) return IoResult::success();
+  const std::size_t bs = array_.block_bytes();
+  const std::int64_t count = hi - lo;
+  const std::int64_t first = group * (code_.p() - 1) + lo;
+  PooledBuffer col(bs * static_cast<std::size_t>(count));
+  if (const IoResult r = fold_diags(group, lo, hi, col.span(), c); !r.ok()) {
+    return r;
   }
-  account(c, /*conversion=*/true);
-  return res;
+  c.writes += static_cast<std::uint64_t>(count);
+  const IoResult run = array_.write_blocks(new_disk_, first, count, col.span());
+  if (run.ok()) return run;
+  // From the faulting block on (a torn block included), rewrite block
+  // by block with the retrying writer; the run was the first attempt.
+  if (run.status == IoStatus::kTornWrite) ++c.retries;
+  for (std::int64_t b = run.block; b < first + count; ++b) {
+    const IoResult r = write_block_retry(
+        array_, new_disk_, b,
+        col.block(static_cast<std::size_t>(b - first), bs), retry_, &c);
+    if (!r.ok()) return r;
+  }
+  return IoResult::success();
 }
 
 int OnlineMigrator::first_stale_diag(std::int64_t group, int upto) {
   const int p = code_.p();
   const std::size_t bs = array_.block_bytes();
-  PooledBuffer arena(bs * static_cast<std::size_t>(p - 2));
-  PooledBuffer acc(bs);
-  std::vector<const std::uint8_t*> srcs;
+  PooledBuffer col(bs * static_cast<std::size_t>(upto));
   IoCounters c;
   int i = 0;
-  for (; i < upto; ++i) {
-    srcs.clear();
-    bool readable = true;
-    for (int j = 0; j <= p - 2 && readable; ++j) {
-      if (j == i) continue;
-      const int r = pmod(i - 1 - j, p);
-      auto slot = arena.block(srcs.size(), bs);
-      readable = read_source(j, group * (p - 1) + r, 0, slot, c, true).ok();
-      srcs.push_back(slot.data());
+  // An unreadable chain rewinds the whole group: the conversion retries it.
+  if (fold_diags(group, 0, upto, col.span(), c).ok()) {
+    const auto stored = array_.raw_blocks(new_disk_, group * (p - 1), upto);
+    while (i < upto &&
+           std::ranges::equal(col.block(static_cast<std::size_t>(i), bs),
+                              stored.subspan(static_cast<std::size_t>(i) * bs,
+                                             bs))) {
+      ++i;
     }
-    if (!readable) break;  // unreadable chain: let the conversion retry it
-    xor_accumulate(acc.span(), srcs);
-    const auto stored = array_.raw_block(new_disk_, group * (p - 1) + i);
-    if (!std::ranges::equal(acc.span(), stored)) break;
   }
   account(c, /*conversion=*/true);
   return i;
@@ -442,73 +523,73 @@ std::int64_t OnlineMigrator::claim_group(int w) {
   }
 }
 
-void OnlineMigrator::note_progress(std::int64_t group, int rows) {
+void OnlineMigrator::note_progress(std::int64_t group) {
   const int p = code_.p();
   std::lock_guard pk(progress_mu_);
-  if (group == groups_done_.load()) {
-    // Row-level checkpoint of the watermark group. With one worker this
-    // reproduces the sequential converter's journal sequence exactly.
-    if (journal_) journal_->record(group, rows);
+  // Group-completion checkpoint of the watermark group, then one record
+  // per watermark advance.
+  if (group == groups_done_.load() && journal_) journal_->record(group, p - 1);
+  const std::int64_t old = groups_done_.load();
+  std::int64_t wm = old;
+  while (wm < groups_ &&
+         rows_done_[wm].load(std::memory_order_acquire) == p - 1) {
+    ++wm;
   }
-  if (rows == p - 1) {
-    const std::int64_t old = groups_done_.load();
-    std::int64_t wm = old;
-    while (wm < groups_ &&
-           rows_done_[wm].load(std::memory_order_acquire) == p - 1) {
-      ++wm;
-    }
-    if (wm != old) {
-      groups_done_.store(wm);
-      if (journal_) {
-        const int r =
-            wm < groups_ ? rows_done_[wm].load(std::memory_order_acquire) : 0;
-        journal_->record(wm, r);
-      }
-      if (events_ && obs::events_enabled()) {
-        emit_event(obs::EventLevel::kDebug,
-                   "watermark advanced to group " + std::to_string(wm), wm,
-                   -1, -1, -1, "watermark");
-      }
-    }
+  if (wm == old) return;
+  groups_done_.store(wm);
+  if (journal_) {
+    const int r =
+        wm < groups_ ? rows_done_[wm].load(std::memory_order_acquire) : 0;
+    journal_->record(wm, r);
+  }
+  if (events_ && obs::events_enabled()) {
+    emit_event(obs::EventLevel::kDebug,
+               "watermark advanced to group " + std::to_string(wm), wm, -1,
+               -1, -1, "watermark");
   }
 }
 
-void OnlineMigrator::conversion_worker(int w) {
+bool OnlineMigrator::convert_group(int w, std::int64_t g, int first_row) {
   const int p = code_.p();
+  {
+    std::unique_lock lk(mu_);
+    // A pending application write preempts the converter between group
+    // steps (Algorithm 2, "interrupt the conversion thread").
+    cv_.wait(lk, [this] {
+      return pending_writers_.load() == 0 || stop_requested_.load() ||
+             state_ == MigrationState::kAborted;
+    });
+    if (state_ == MigrationState::kAborted || stop_requested_.load()) {
+      return false;
+    }
+  }
+  {
+    std::shared_lock ops(ops_mu_);
+    std::lock_guard gl(group_lock(g));
+    IoCounters c;
+    const IoResult res = generate_diags(g, first_row, p - 1, c);
+    account(c, /*conversion=*/true);
+    if (!res.ok()) {
+      abort_from_io("conversion cannot generate the diagonal column of "
+                    "group " +
+                    std::to_string(g) + ": " + describe(res));
+      return false;
+    }
+    rows_done_[g].store(p - 1, std::memory_order_release);
+    if (obs::metrics_enabled()) {
+      worker_rows_[static_cast<std::size_t>(w)].inc(
+          static_cast<std::uint64_t>(p - 1 - first_row));
+    }
+  }
+  note_progress(g);
+  return true;
+}
+
+void OnlineMigrator::conversion_worker(int w) {
   for (;;) {
     const std::int64_t g = claim_group(w);
-    if (g < 0) return;
-    const int first = g == start_group_ ? start_row_ : 0;
-    for (int i = first; i <= p - 2; ++i) {
-      {
-        std::unique_lock lk(mu_);
-        // A pending application write preempts the converter between
-        // parity blocks (Algorithm 2, "interrupt the conversion
-        // thread").
-        cv_.wait(lk, [this] {
-          return pending_writers_.load() == 0 || stop_requested_.load() ||
-                 state_ == MigrationState::kAborted;
-        });
-        if (state_ == MigrationState::kAborted || stop_requested_.load()) {
-          return;
-        }
-      }
-      {
-        std::shared_lock ops(ops_mu_);
-        std::lock_guard gl(group_lock(g));
-        const IoResult res = generate_diag(g, i);
-        if (!res.ok()) {
-          abort_from_io("conversion cannot generate diagonal row " +
-                        std::to_string(i) + " of group " + std::to_string(g) +
-                        ": " + describe(res));
-          return;
-        }
-        rows_done_[g].store(i + 1, std::memory_order_release);
-        if (obs::metrics_enabled()) {
-          worker_rows_[static_cast<std::size_t>(w)].inc();
-        }
-      }
-      note_progress(g, i + 1);
+    if (g < 0 || !convert_group(w, g, g == start_group_ ? start_row_ : 0)) {
+      return;
     }
   }
 }
@@ -563,14 +644,20 @@ IoResult OnlineMigrator::update(std::int64_t logical, std::size_t offset,
   if (in.empty()) return IoResult::success();  // validated no-op
   const Locus l = locate(logical);
   const int p = code_.p();
-  // A pending writer preempts the conversion workers between rows
+  // A pending writer preempts the conversion workers between groups
   // (Algorithm 2, "interrupt the conversion thread"); they are woken
   // once the write is out of the way (or bailed out).
   pending_writers_.fetch_add(1);
   struct Notifier {
-    std::condition_variable& cv;
-    ~Notifier() { cv.notify_all(); }
-  } notify{cv_};
+    OnlineMigrator& m;
+    ~Notifier() {
+      // pending_writers_ changes outside mu_: passing through mu_ first
+      // orders this wake-up after any worker's predicate check, so a
+      // worker that saw the write pending is already waiting for it.
+      { std::lock_guard lk(m.mu_); }
+      m.cv_.notify_all();
+    }
+  } notify{*this};
   std::shared_lock ops(ops_mu_);
   std::lock_guard gl(group_lock(l.group));
   pending_writers_.fetch_sub(1);
@@ -663,7 +750,9 @@ IoResult OnlineMigrator::update(std::int64_t logical, std::size_t offset,
         // The stored diagonal parity is unreadable: regenerate its
         // whole chain from the (already updated) data. Counted as
         // conversion I/O, which is what the regeneration is.
-        generate_diag(l.group, diag_row);
+        IoCounters rc;
+        generate_diags(l.group, diag_row, diag_row + 1, rc);
+        account(rc, /*conversion=*/true);
       } else {
         ++degraded;
       }
@@ -837,13 +926,14 @@ std::int64_t OnlineMigrator::rebuild_failed_disks() {
     // The diagonal column is a pure function of the data: regenerate.
     array_.repair_disk(new_disk_);
     for (std::int64_t g = 0; g < groups_done_.load(); ++g) {
-      for (int i = 0; i <= p - 2; ++i) {
-        if (!generate_diag(g, i).ok()) {
-          throw std::runtime_error(
-              "rebuild_failed_disks: diagonal column not regenerable");
-        }
-        ++rebuilt;
+      IoCounters c;
+      const IoResult r = generate_diags(g, 0, p - 1, c);
+      account(c, /*conversion=*/true);
+      if (!r.ok()) {
+        throw std::runtime_error(
+            "rebuild_failed_disks: diagonal column not regenerable");
       }
+      rebuilt += p - 1;
     }
     return rebuilt;
   }

@@ -7,12 +7,15 @@
 
 #include <functional>
 #include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "layout/raid.hpp"
 #include "migration/disk_array.hpp"
 #include "migration/journal.hpp"
 #include "migration/online.hpp"
+#include "obs/events.hpp"
 #include "util/rng.hpp"
 #include "xorblk/xor.hpp"
 
@@ -240,6 +243,61 @@ TEST(DegradedConversion, HardBadBlockReconstructedThroughParity) {
   EXPECT_TRUE(mig.verify_raid6());
 }
 
+/// Every block of every disk of `a` equals `b`'s.
+void expect_byte_identical(const DiskArray& a, const DiskArray& b,
+                           const std::string& what) {
+  ASSERT_EQ(a.disks(), b.disks()) << what;
+  for (int d = 0; d < a.disks(); ++d) {
+    for (std::int64_t blk = 0; blk < a.blocks_per_disk(); ++blk) {
+      ASSERT_TRUE(std::ranges::equal(a.raw_block(d, blk), b.raw_block(d, blk)))
+          << what << ": disk " << d << " block " << blk;
+    }
+  }
+}
+
+/// The same RAID-5 migrated without faults or interruption.
+std::unique_ptr<DiskArray> reference_raid6(int p, std::int64_t groups,
+                                           std::uint64_t seed) {
+  auto ref = std::make_unique<DiskArray>(p - 1, groups * (p - 1), kBlock);
+  fill_raid5(*ref, p - 1, seed);
+  OnlineMigrator mig(*ref, p);
+  mig.start();
+  mig.finish();
+  EXPECT_EQ(mig.state(), MigrationState::kDone);
+  return ref;
+}
+
+TEST(DegradedConversion, BadBlockMidSourceRunKeepsEarlierBlocks) {
+  // p = 7, one group: source column 0 holds data rows [0, 5) above its
+  // parity cell at row 5, so it is staged as one 5-block run. A hard
+  // bad block at row 2 cuts that run: rows 0-1 are kept, row 2 is
+  // retried and then rebuilt from its row mates, rows 3-4 are read one
+  // by one.
+  const int p = 7, m = 6;
+  const auto ref = reference_raid6(p, 1, 41);
+  DiskArray array(m, p - 1, kBlock);
+  fill_raid5(array, m, 41);
+  OnlineMigrator mig(array, p);
+  const RetryPolicy retry = fast_retry();
+  mig.set_retry_policy(retry);
+  FaultPlan plan;
+  plan.bad_blocks.push_back({.disk = 0, .block = 2});
+  array.set_fault_plan(plan);
+  mig.start();
+  mig.finish();
+  ASSERT_EQ(mig.state(), MigrationState::kDone);
+  const OnlineStats st = mig.stats();
+  EXPECT_EQ(st.reconstructed_reads, 1u);
+  // One reissue after the run's failed attempt at row 2, then
+  // max_attempts - 1 more inside the block-by-block retry.
+  const auto attempts = static_cast<std::uint64_t>(retry.max_attempts);
+  EXPECT_EQ(st.retries, attempts);
+  EXPECT_EQ(array.reads(0), 5 + attempts + 2) << "rows 0-1 were re-read";
+  EXPECT_EQ(array.read_runs(0), 1 + attempts + 2);
+  EXPECT_TRUE(mig.verify_raid6());
+  expect_byte_identical(array, *ref, "bad block mid-run");
+}
+
 TEST(DegradedConversion, DoubleFailureAbortsCleanly) {
   const int p = 5, m = 4;
   DiskArray array(m, 4LL * (p - 1), kBlock);
@@ -315,6 +373,116 @@ TEST(CrashResume, ByteIdenticalToUninterruptedRun) {
   }
 }
 
+TEST(CrashResume, FaultAtEveryOrdinalOfAGroupStepResumesByteIdentical) {
+  // Cut the step of group 1 at each of its counted I/Os: a source-disk
+  // failure at one block of one of its read runs (the rest of the run
+  // is reconstructed through the row parity), or a new-disk failure
+  // inside its diagonal write run (the step aborts with only the first
+  // blocks of the column written: a torn run). The conversion stops
+  // after the step, the migrator is destroyed, the failed new disk
+  // comes back with whatever it held, and a fresh migrator resumes from
+  // the journal.
+  const int p = 5, m = 4;
+  const std::int64_t groups = 4, step = 1;
+  const std::uint64_t seed = 42;
+  const auto ref = reference_raid6(p, groups, seed);
+  for (int disk = 0; disk <= m; ++disk) {
+    // Counted I/Os per group step on this disk: p-2 data cells of a
+    // source column, or p-1 diagonal blocks. One worker converts the
+    // groups in order, so group 1's I/Os carry ordinals [per, 2*per).
+    const int per = disk < m ? p - 2 : p - 1;
+    for (int k = 0; k < per; ++k) {
+      const std::string what =
+          "disk " + std::to_string(disk) + " ordinal " + std::to_string(k);
+      DiskArray array(m, groups * (p - 1), kBlock);
+      fill_raid5(array, m, seed);
+      // The new disk exists up front so the plan can name it; start()
+      // converts onto it from group 0.
+      array.add_disk();
+      FaultPlan plan;
+      plan.disk_failures.push_back(
+          {.disk = disk, .after_ios = static_cast<std::uint64_t>(per + k)});
+      array.set_fault_plan(plan);
+      StopAfterSink sink(4);  // start, then two records per group
+      {
+        OnlineMigrator mig(array, p);
+        mig.set_workers(1);  // the ordinals assume groups in order
+        mig.attach_journal(sink);
+        mig.set_retry_policy(fast_retry());
+        sink.arm([&mig] { mig.request_stop(); });
+        mig.start();
+        mig.finish();
+        ASSERT_EQ(mig.groups_done(), disk < m ? step + 1 : step) << what;
+        if (disk < m) {
+          ASSERT_EQ(mig.state(), MigrationState::kStopped) << what;
+          EXPECT_GT(mig.stats().reconstructed_reads, 0u) << what;
+        } else {
+          ASSERT_EQ(mig.state(), MigrationState::kAborted) << what;
+          const std::int64_t b0 = step * (p - 1);
+          for (int r = 0; r < p - 1; ++r) {
+            EXPECT_EQ(std::ranges::equal(array.raw_block(m, b0 + r),
+                                         ref->raw_block(m, b0 + r)),
+                      r < k)
+                << what << ": the run keeps exactly its first " << k
+                << " blocks, row " << r;
+          }
+        }
+      }
+      sink.disarm();
+      if (disk == m) array.repair_disk(m);  // back after the power cycle
+      OnlineMigrator mig2(array, p);
+      mig2.attach_journal(sink);
+      mig2.set_retry_policy(fast_retry());
+      mig2.resume();
+      mig2.finish();
+      ASSERT_EQ(mig2.state(), MigrationState::kDone) << what;
+      EXPECT_TRUE(mig2.verify_raid6()) << what;
+      expect_byte_identical(array, *ref, what);
+    }
+  }
+}
+
+TEST(CrashResume, LegacyRowJournalReverifiesAndCompletes) {
+  // Builds that checkpointed per diagonal row left journals such as
+  // (group 2, rows 3). Resume re-verifies those rows, rewinds past a
+  // stale one, and continues the group's step from the first row it
+  // cannot trust.
+  const int p = 5, m = 4;
+  const std::int64_t groups = 4, g = 2;
+  const int rows = 3;
+  const std::uint64_t seed = 43;
+  const auto ref = reference_raid6(p, groups, seed);
+  for (const int stale : {-1, 1}) {
+    const std::string what = "stale row " + std::to_string(stale);
+    DiskArray array(m, groups * (p - 1), kBlock);
+    fill_raid5(array, m, seed);
+    array.add_disk();
+    // The crash image: groups [0, g) and rows [0, rows) of group g.
+    for (std::int64_t b = 0; b < g * (p - 1) + rows; ++b) {
+      std::ranges::copy(ref->raw_block(m, b), array.raw_block(m, b).begin());
+    }
+    if (stale >= 0) array.corrupt_block(m, g * (p - 1) + stale, 0, 0x5A);
+    MemoryCheckpointSink sink;
+    MigrationJournal(sink).record(g, rows);
+    obs::EventLog log;
+    log.set_stderr_echo(false);
+    OnlineMigrator mig(array, p);
+    mig.attach_journal(sink);
+    mig.attach_events(log, "legacy");
+    mig.resume();
+    mig.finish();
+    ASSERT_EQ(mig.state(), MigrationState::kDone) << what;
+    EXPECT_TRUE(mig.verify_raid6()) << what;
+    expect_byte_identical(array, *ref, what);
+    bool rewound = false;
+    for (const obs::Event& ev : log.snapshot()) {
+      rewound |= ev.message.find("rewound watermark from group 2 row 3 to "
+                                 "group 2 row 1") != std::string::npos;
+    }
+    EXPECT_EQ(rewound, stale == 1) << what;
+  }
+}
+
 TEST(CrashResume, WatermarkGroupIsReverified) {
   const int p = 5, m = 4;
   const std::int64_t groups = 8;
@@ -324,6 +492,12 @@ TEST(CrashResume, WatermarkGroupIsReverified) {
   std::int64_t watermark = 0;
   {
     OnlineMigrator mig(array, p);
+    // The interrupted run has one worker, so the 14th journal record
+    // (group 6's completion) stops it with group 7 left. A stop is
+    // honoured between group steps, and several workers would claim
+    // all 8 groups at once and finish them. The resume below runs with
+    // the default worker count.
+    mig.set_workers(1);
     mig.attach_journal(sink);
     sink.arm([&mig] { mig.request_stop(); });
     mig.start();

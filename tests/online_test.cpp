@@ -60,6 +60,16 @@ TEST(DiskArray, AddDiskZeroed) {
   EXPECT_TRUE(all_zero(a.raw_block(2, 3)));
 }
 
+TEST(DiskArray, AddDiskTakesPreparedStorage) {
+  DiskArray a(2, 4, kBlock);
+  Buffer image(4 * kBlock, 0x3C);
+  const int d = a.add_disk(std::move(image));
+  EXPECT_EQ(d, 2);
+  EXPECT_EQ(a.raw_block(2, 3)[kBlock - 1], 0x3C);
+  EXPECT_THROW(a.add_disk(Buffer(3 * kBlock)), std::invalid_argument);
+  EXPECT_EQ(a.disks(), 3);
+}
+
 TEST(OnlineMigrator, WorkersKnobChecksItsInput) {
   // C56_CONVERT_WORKERS goes through the checked env parser: garbage
   // keeps the default, out-of-range clamps to [1, 64]. Pre-fix this was
@@ -104,6 +114,34 @@ TEST(OnlineMigrator, QuiescentMigrationProducesValidRaid6) {
     // Only the added disk was written.
     for (int d = 0; d < m; ++d) EXPECT_EQ(array.writes(d), 0u) << d;
     EXPECT_EQ(array.writes(m), st.conv_writes);
+  }
+}
+
+TEST(OnlineMigrator, OneGroupStepIsTwoPMinusFourReadRunsAndOneWriteRun) {
+  // Per full group: every source column is read around its horizontal
+  // parity cell (one run above it, one below; the first and last column
+  // have only one), and the diagonal column is one write run.
+  for (int p : {5, 7, 11}) {
+    const int m = p - 1;
+    const std::int64_t groups = 3;
+    DiskArray array(m, groups * (p - 1), kBlock);
+    fill_raid5(array, m, 10 + static_cast<std::uint64_t>(p));
+    OnlineMigrator mig(array, p);
+    mig.start();
+    mig.finish();
+    ASSERT_EQ(mig.state(), MigrationState::kDone);
+    std::uint64_t source_runs = 0;
+    for (int d = 0; d < m; ++d) source_runs += array.read_runs(d);
+    EXPECT_EQ(source_runs, static_cast<std::uint64_t>(groups * (2 * p - 4)))
+        << "p=" << p;
+    EXPECT_EQ(array.write_runs(m), static_cast<std::uint64_t>(groups))
+        << "p=" << p;
+    EXPECT_EQ(array.read_runs(m), 0u) << "p=" << p;
+    const OnlineStats st = mig.stats();
+    EXPECT_EQ(st.conv_reads,
+              static_cast<std::uint64_t>(groups * (p - 1) * (p - 2)));
+    EXPECT_EQ(st.conv_writes, static_cast<std::uint64_t>(groups * (p - 1)));
+    EXPECT_TRUE(mig.verify_raid6()) << "p=" << p;
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -98,6 +99,33 @@ TEST(Buffer, MoveLeavesSourceReusable) {
   Buffer b = std::move(a);
   EXPECT_EQ(b.size(), 8u);
   EXPECT_EQ(b.data()[3], 0x5A);
+}
+
+TEST(Buffer, MappedSizesBehaveLikeHeapSizes) {
+  // At kMapBytes and up a Buffer is an mmap'ed region: zeroed, filled,
+  // copied, compared and moved exactly like a heap-backed one.
+  const std::size_t n = Buffer::kMapBytes + 4096 + 3;  // not page-sized
+  Buffer z(n);
+  EXPECT_EQ(z.size(), n);
+  EXPECT_TRUE(all_zero(z.span()));
+  Buffer f(n, 0xC3);
+  EXPECT_EQ(f.data()[0], 0xC3);
+  EXPECT_EQ(f.data()[n - 1], 0xC3);
+  EXPECT_TRUE(std::ranges::all_of(f.span(), [](auto b) { return b == 0xC3; }));
+  Buffer copy = f;
+  EXPECT_TRUE(copy == f);
+  copy.data()[n - 1] = 0;
+  EXPECT_FALSE(copy == f);
+  copy.zero();
+  EXPECT_TRUE(copy == z);
+  Buffer moved = std::move(f);
+  EXPECT_EQ(moved.data()[n / 2], 0xC3);
+  EXPECT_EQ(f.size(), 0u);  // a moved-from buffer is empty
+  z = moved;  // copy-assign over a mapped buffer
+  EXPECT_TRUE(z == moved);
+  copy = std::move(z);  // move-assign releases copy's mapping
+  EXPECT_TRUE(copy == moved);
+  EXPECT_EQ(z.size(), 0u);
 }
 
 TEST(BufferPool, TrimDropsLargestSizesFirst) {
