@@ -3,6 +3,13 @@
 // rates, plus the converter's preemption count. Demonstrates the
 // paper's claim that conversion and application I/O coexist because
 // they touch disjoint disks except on writes.
+//
+// The conversion time is split by layer: start() (provisioning the new
+// disk and launching the workers) and the group steps that follow it
+// until the last worker exits. Exits 1 if any run ends without a
+// byte-consistent RAID-6.
+//
+//   online_overhead [p] [groups]     (defaults: 5 4096)
 
 #include <chrono>
 #include <cstdio>
@@ -37,7 +44,8 @@ void fill_raid5(c56::mig::DiskArray& array, int m) {
 }
 
 struct Result {
-  double conversion_ms;
+  double start_ms;  // start(): new-disk provisioning + worker launch
+  double steps_ms;  // start() returning -> every group step done
   std::uint64_t app_ops;
   std::uint64_t preemptions;
   bool verified;
@@ -53,6 +61,7 @@ Result run(int p, std::int64_t groups, int writer_threads) {
 
   const auto t0 = std::chrono::steady_clock::now();
   mig.start();
+  const auto t_started = std::chrono::steady_clock::now();
   std::vector<std::thread> writers;
   for (int w = 0; w < writer_threads; ++w) {
     writers.emplace_back([&, w] {
@@ -74,8 +83,10 @@ Result run(int p, std::int64_t groups, int writer_threads) {
   for (auto& t : writers) t.join();
 
   Result r;
-  r.conversion_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
+  r.start_ms =
+      std::chrono::duration<double, std::milli>(t_started - t0).count();
+  r.steps_ms =
+      std::chrono::duration<double, std::milli>(t1 - t_started).count();
   r.app_ops = ops.load();
   r.preemptions = mig.stats().interruptions;
   r.verified = mig.verify_raid6();
@@ -92,12 +103,14 @@ int main(int argc, char** argv) {
       "Online migration under load (p=%d, %lld stripe groups, %zu B "
       "blocks, in-memory array)\n\n",
       p, static_cast<long long>(groups), kBlock);
-  c56::TextTable t({"writer threads", "conversion (ms)", "app writes",
-                    "preemptions", "RAID-6 valid"});
+  c56::TextTable t({"writer threads", "start() (ms)", "group steps (ms)",
+                    "app writes", "preemptions", "RAID-6 valid"});
+  bool all_valid = true;
   for (int writers : {0, 1, 2, 4}) {
     const Result r = run(p, groups, writers);
-    t.add_row({std::to_string(writers),
-               c56::TextTable::fmt(r.conversion_ms, 1),
+    all_valid = all_valid && r.verified;
+    t.add_row({std::to_string(writers), c56::TextTable::fmt(r.start_ms, 1),
+               c56::TextTable::fmt(r.steps_ms, 1),
                std::to_string(r.app_ops), std::to_string(r.preemptions),
                r.verified ? "yes" : "NO"});
   }
@@ -107,5 +120,9 @@ int main(int argc, char** argv) {
   std::printf(
       "\nEvery run must end with a byte-consistent RAID-6 regardless of "
       "write pressure\n(Algorithm 2's interrupt/resume protocol).\n");
+  if (!all_valid) {
+    std::fprintf(stderr, "FAIL: a run ended without a valid RAID-6\n");
+    return 1;
+  }
   return 0;
 }

@@ -552,12 +552,8 @@ ArrayController::PlanStats ArrayController::write_stripe(
       t.src = u.data.data();
     }
   }
-  if (s.cells.size() == data_cells_.size() &&
-      std::ranges::all_of(s.cells, &Scratch::Touched::covered)) {
-    st.full_stripe = true;
-    st.direct = write_full_stripe(stripe, ups);
-    return st;
-  }
+  st.full_stripe = s.cells.size() == data_cells_.size() &&
+                   std::ranges::all_of(s.cells, &Scratch::Touched::covered);
   // With the delta plane off every partial hull widens to the whole
   // block (the whole-block read-modify-write fallback).
   if (!subblock_delta_) {
@@ -764,36 +760,6 @@ ArrayController::PlanStats ArrayController::write_stripe(
     }
   }
   return st;
-}
-
-std::uint64_t ArrayController::write_full_stripe(
-    std::int64_t stripe, std::span<const SubWrite> ups) {
-  const std::size_t bs = array_.block_bytes();
-  const int rows = code_->rows();
-  const int cols = code_->cols();
-  PooledBuffer sbuf(static_cast<std::size_t>(code_->cell_count()) * bs);
-  StripeView v(sbuf.span(), rows, cols, bs);
-  const auto per = data_cells_.size();
-  for (const SubWrite& u : ups) {
-    const Cell c = data_cells_[static_cast<std::size_t>(u.logical) % per];
-    std::memcpy(v.block(c).data() + u.offset, u.data.data(), u.data.size());
-  }
-  code_->encode(v);  // regenerates every parity; zero pre-reads issued
-  std::vector<CellWrite>& wr = scratch().wr;
-  wr.clear();
-  std::uint64_t parities = 0;
-  for (int c = virtual_cols_; c < cols; ++c) {
-    if (failed_.count(disk_of(c))) continue;  // regenerated at rebuild time
-    for (int r = 0; r < rows; ++r) {
-      const CellKind k = kind_[static_cast<std::size_t>(r) * cols + c];
-      if (k == CellKind::kVirtual) continue;
-      wr.push_back({{r, c}, v.block({r, c}).data()});
-      parities += k != CellKind::kData;
-    }
-  }
-  write_cells(stripe, wr);
-  for (Cell c : data_cells_) cache_fill(stripe, c, v.block(c));
-  return parities;
 }
 
 void ArrayController::set_cache_stripes(std::size_t n) {

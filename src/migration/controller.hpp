@@ -19,15 +19,15 @@
 // are thin front ends: they validate, split the request by stripe and
 // hand each stripe's updates (block, byte range, new bytes, in batch
 // order) to write_stripe() under the stripe lock. Per stripe:
-//   * updates covering every data cell whole regenerate parity with
-//     encode() and issue no pre-reads at all;
-//   * otherwise each surviving parity whose expanded chain is covered
-//     whole is computed directly (no pre-read), and every other one
-//     gets one coalesced read-modify-write over the union of its
-//     contributors' byte ranges. Every code in the zoo XORs parity
-//     bytewise, so a data byte at intra-block offset o feeds each of
-//     its parities at offset o: a sub-block update moves only its byte
-//     range (parity ^= new ^ old, xor_delta kernels);
+//   * each surviving parity whose expanded chain is covered whole is
+//     computed directly from the callers' buffers (no pre-read), so
+//     updates covering every data cell whole issue no pre-reads at
+//     all; every other parity gets one coalesced read-modify-write
+//     over the union of its contributors' byte ranges. Every code in
+//     the zoo XORs parity bytewise, so a data byte at intra-block
+//     offset o feeds each of its parities at offset o: a sub-block
+//     update moves only its byte range (parity ^= new ^ old, xor_delta
+//     kernels);
 //   * old values are read only for cells that feed a read-modify-write
 //     parity or that are partially written, idempotent cells are
 //     dropped, and every pre-read is issued before the first write, so
@@ -250,9 +250,6 @@ class ArrayController {
   /// Validated, non-empty updates of one stripe in batch order; the
   /// caller holds the stripe lock.
   PlanStats write_stripe(std::int64_t stripe, std::span<const SubWrite> ups);
-  /// The encode() branch; returns the parity cells written.
-  std::uint64_t write_full_stripe(std::int64_t stripe,
-                                  std::span<const SubWrite> ups);
   // Vectored cell I/O: both group the requested cells into per-column
   // runs of consecutive rows and issue one DiskArray batch per run
   // (reordering `want`/`w` in place).

@@ -287,18 +287,7 @@ IoResult DiskArray::write_range(int disk, std::int64_t block,
   return IoResult::success();
 }
 
-IoResult DiskArray::read_blocks(int disk, std::int64_t block,
-                                std::int64_t count,
-                                std::span<std::uint8_t> out) {
-  obs::DeviceSpan dspan;
-  check_run(disk, block, count);
-  if (out.size() != static_cast<std::size_t>(count) * block_bytes_) {
-    throw std::invalid_argument("DiskArray::read_blocks: bad buffer size");
-  }
-  Disk& d = *disks_[static_cast<std::size_t>(disk)];
-  d.reads.inc(static_cast<std::uint64_t>(count));
-  d.read_runs.inc();
-  d.read_bytes.inc(static_cast<std::uint64_t>(count) * block_bytes_);
+std::int64_t DiskArray::claim_run(Disk& d, std::int64_t count) {
   const std::uint64_t ord = d.ios.fetch_add(static_cast<std::uint64_t>(count),
                                             std::memory_order_relaxed);
   // Per-block fail_after semantics: block k of the run carries ordinal
@@ -312,31 +301,65 @@ IoResult DiskArray::read_blocks(int disk, std::int64_t block,
     ok = static_cast<std::int64_t>(fail_at - ord);
   }
   if (ok < count) mark_failed(d);
-  if (was_failed) ok = 0;  // already-failed disk
-  const auto src = d.data.span().subspan(
-      static_cast<std::size_t>(block) * block_bytes_,
-      static_cast<std::size_t>(count) * block_bytes_);
-  if (!injecting_) {
-    if (ok > 0) {
-      std::memcpy(out.data(), src.data(),
-                  static_cast<std::size_t>(ok) * block_bytes_);
+  return was_failed ? 0 : ok;  // an already-failed disk transfers nothing
+}
+
+IoResult DiskArray::read_run(int disk, std::int64_t block,
+                             std::int64_t count) {
+  Disk& d = *disks_[static_cast<std::size_t>(disk)];
+  d.reads.inc(static_cast<std::uint64_t>(count));
+  d.read_runs.inc();
+  d.read_bytes.inc(static_cast<std::uint64_t>(count) * block_bytes_);
+  const std::int64_t ok = claim_run(d, count);
+  if (injecting_) {
+    for (std::int64_t k = 0; k < ok; ++k) {
+      if (is_bad(disk, block + k) || roll(sector_error_rate_)) {
+        sector_errors_.inc();
+        return IoResult::fail(IoStatus::kSectorError, disk, block + k);
+      }
     }
-    if (ok < count) return IoResult::fail(IoStatus::kDiskFailed, disk,
-                                          block + ok);
-    return IoResult::success();
   }
-  for (std::int64_t k = 0; k < ok; ++k) {
-    if (is_bad(disk, block + k) || roll(sector_error_rate_)) {
-      sector_errors_.inc();
-      return IoResult::fail(IoStatus::kSectorError, disk, block + k);
-    }
-    std::memcpy(out.data() + static_cast<std::size_t>(k) * block_bytes_,
-                src.data() + static_cast<std::size_t>(k) * block_bytes_,
-                block_bytes_);
+  if (ok < count) {
+    return IoResult::fail(IoStatus::kDiskFailed, disk, block + ok);
   }
-  if (ok < count) return IoResult::fail(IoStatus::kDiskFailed, disk,
-                                        block + ok);
   return IoResult::success();
+}
+
+IoResult DiskArray::read_blocks(int disk, std::int64_t block,
+                                std::int64_t count,
+                                std::span<std::uint8_t> out) {
+  obs::DeviceSpan dspan;
+  check_run(disk, block, count);
+  if (out.size() != static_cast<std::size_t>(count) * block_bytes_) {
+    throw std::invalid_argument("DiskArray::read_blocks: bad buffer size");
+  }
+  const IoResult r = read_run(disk, block, count);
+  const std::size_t n =
+      static_cast<std::size_t>(r.ok() ? count : r.block - block);
+  if (n > 0) {
+    std::memcpy(out.data(),
+                disks_[static_cast<std::size_t>(disk)]->data.data() +
+                    static_cast<std::size_t>(block) * block_bytes_,
+                n * block_bytes_);
+  }
+  return r;
+}
+
+IoResult DiskArray::view_blocks(int disk, std::int64_t block,
+                                std::span<const std::uint8_t*> out) {
+  obs::DeviceSpan dspan;
+  const auto count = static_cast<std::int64_t>(out.size());
+  check_run(disk, block, count);
+  const IoResult r = read_run(disk, block, count);
+  const std::uint8_t* src =
+      disks_[static_cast<std::size_t>(disk)]->data.data() +
+      static_cast<std::size_t>(block) * block_bytes_;
+  const std::int64_t n = r.ok() ? count : r.block - block;
+  for (std::int64_t k = 0; k < n; ++k) {
+    out[static_cast<std::size_t>(k)] =
+        src + static_cast<std::size_t>(k) * block_bytes_;
+  }
+  return r;
 }
 
 IoResult DiskArray::write_blocks(int disk, std::int64_t block,
@@ -351,18 +374,7 @@ IoResult DiskArray::write_blocks(int disk, std::int64_t block,
   d.writes.inc(static_cast<std::uint64_t>(count));
   d.write_runs.inc();
   d.write_bytes.inc(static_cast<std::uint64_t>(count) * block_bytes_);
-  const std::uint64_t ord = d.ios.fetch_add(static_cast<std::uint64_t>(count),
-                                            std::memory_order_relaxed);
-  const bool was_failed = d.failed.load();
-  const std::uint64_t fail_at = d.fail_after.load(std::memory_order_relaxed);
-  std::int64_t ok = count;
-  if (fail_at <= ord) {
-    ok = 0;
-  } else if (fail_at - ord < static_cast<std::uint64_t>(count)) {
-    ok = static_cast<std::int64_t>(fail_at - ord);
-  }
-  if (ok < count) mark_failed(d);
-  if (was_failed) ok = 0;
+  const std::int64_t ok = claim_run(d, count);
   const auto dst = d.data.span().subspan(
       static_cast<std::size_t>(block) * block_bytes_,
       static_cast<std::size_t>(count) * block_bytes_);

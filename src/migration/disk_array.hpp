@@ -90,6 +90,16 @@ class DiskArray {
   IoResult write_blocks(int disk, std::int64_t block, std::int64_t count,
                         std::span<const std::uint8_t> in);
 
+  /// Borrowed read run: counted and fault-checked exactly like
+  /// read_blocks over out.size() blocks (same counters, fail_after
+  /// ordinals and per-block fault checks), but instead of copying it
+  /// sets out[k] to block k's stored image. On a fault, the pointers
+  /// before the faulting block are set; the rest are left untouched.
+  /// Views are read-only and stay meaningful only while the caller
+  /// holds whatever exclusion orders writes to those blocks.
+  IoResult view_blocks(int disk, std::int64_t block,
+                       std::span<const std::uint8_t*> out);
+
   /// Install a fault plan (replaces any previous one and reseeds the
   /// injection RNG). Not safe against concurrent in-flight I/O.
   void set_fault_plan(const FaultPlan& plan);
@@ -181,6 +191,14 @@ class DiskArray {
 
   // Marks the disk failed, counting the event only on the transition.
   void mark_failed(Disk& d);
+  // Advances the disk's fail_after ordinals by a run of `count` blocks;
+  // returns how many leading blocks of the run the disk survives (0 if
+  // it was already failed).
+  std::int64_t claim_run(Disk& d, std::int64_t count);
+  // The counted, fault-checked core of read_blocks and view_blocks:
+  // charges the run and returns success or the first fault's
+  // coordinates. The blocks before the fault may be transferred.
+  IoResult read_run(int disk, std::int64_t block, std::int64_t count);
 
   void check(int disk, std::int64_t block) const;  // throws out_of_range
   void check_run(int disk, std::int64_t block, std::int64_t count) const;

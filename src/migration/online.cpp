@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -373,51 +374,28 @@ IoResult OnlineMigrator::read_source(int disk, std::int64_t block,
   return r;
 }
 
-IoResult OnlineMigrator::read_source_run(int disk, std::int64_t block,
-                                         std::int64_t count,
-                                         std::span<std::uint8_t> out,
-                                         IoCounters& c) {
-  const std::size_t bs = array_.block_bytes();
-  std::int64_t k = 0;
-  if (!array_.disk_failed(disk)) {
-    c.reads += static_cast<std::uint64_t>(count);
-    const IoResult r = array_.read_blocks(disk, block, count, out);
-    if (r.ok()) return r;
-    k = r.block - block;  // the blocks before the fault are transferred
-    // The run was the first attempt at the faulting block.
-    if (r.status == IoStatus::kSectorError) ++c.retries;
-  }
-  for (; k < count; ++k) {
-    const IoResult r =
-        read_source(disk, block + k, 0,
-                    out.subspan(static_cast<std::size_t>(k) * bs, bs), c,
-                    /*conversion=*/true);
-    if (!r.ok()) return r;
-  }
-  return IoResult::success();
-}
-
 IoResult OnlineMigrator::fold_diags(std::int64_t group, int lo, int hi,
                                     std::span<std::uint8_t> out,
                                     IoCounters& c) {
   // Chain for diagonal parity row i (Eq. 2): data cells
   // (<i-1-j> mod p, j), j != i. Every data cell is on exactly one chain
   // and no horizontal-parity cell (row p-2-j of column j) is on any, so
-  // a full group stages each source column minus its parity cell: one
-  // run above it and one below. Cell (r, j) lands in arena slot
-  // j*(p-1) + r, so a run of one column fills consecutive slots.
+  // a full group borrows each source column minus its parity cell: one
+  // run above it and one below. Cell (r, j) is view slot j*(p-1) + r,
+  // so a run of one column fills consecutive slots.
   const int p = code_.p();
   const int rows = p - 1;
   const std::size_t bs = array_.block_bytes();
   const std::int64_t base = group * rows;
-  PooledBuffer arena(bs * static_cast<std::size_t>(rows * rows));
   const auto slot = [&](int r, int j) {
-    return static_cast<std::size_t>(j * rows + r) * bs;
+    return static_cast<std::size_t>(j * rows + r);
   };
+  std::vector<const std::uint8_t*> view(static_cast<std::size_t>(rows * rows));
+  std::optional<PooledBuffer> arena;  // blocks read from a fault on
   std::vector<char> need(static_cast<std::size_t>(rows));
   for (int j = 0; j < rows; ++j) {
-    // Rows of column j on the chains of diagonal rows [lo, hi), read as
-    // one run per stretch of consecutive rows.
+    // Rows of column j on the chains of diagonal rows [lo, hi), borrowed
+    // as one run per stretch of consecutive rows.
     std::ranges::fill(need, 0);
     for (int i = lo; i < hi; ++i) {
       if (i != j) need[static_cast<std::size_t>(pmod(i - 1 - j, p))] = 1;
@@ -429,11 +407,27 @@ IoResult OnlineMigrator::fold_diags(std::int64_t group, int lo, int hi,
       }
       int e = r + 1;
       while (e < rows && need[static_cast<std::size_t>(e)]) ++e;
-      const IoResult res = read_source_run(
-          j, base + r, e - r,
-          arena.span().subspan(slot(r, j), static_cast<std::size_t>(e - r) * bs),
-          c);
-      if (!res.ok()) return res;
+      const std::int64_t count = e - r;
+      const std::span run(view.data() + slot(r, j),
+                          static_cast<std::size_t>(count));
+      std::int64_t k = 0;
+      if (!array_.disk_failed(j)) {
+        c.reads += static_cast<std::uint64_t>(count);
+        const IoResult res = array_.view_blocks(j, base + r, run);
+        k = res.ok() ? count : res.block - (base + r);
+        // The run was the first attempt at the faulting block.
+        if (res.status == IoStatus::kSectorError) ++c.retries;
+      }
+      // From a fault on: retry, then reconstruct, into the arena.
+      for (; k < count; ++k) {
+        if (!arena) arena.emplace(bs * view.size());
+        const auto blk =
+            arena->block(slot(r, j) + static_cast<std::size_t>(k), bs);
+        const IoResult res =
+            read_source(j, base + r + k, 0, blk, c, /*conversion=*/true);
+        if (!res.ok()) return res;
+        run[static_cast<std::size_t>(k)] = blk.data();
+      }
       r = e;
     }
   }
@@ -442,7 +436,7 @@ IoResult OnlineMigrator::fold_diags(std::int64_t group, int lo, int hi,
   for (int i = lo; i < hi; ++i) {
     srcs.clear();
     for (int j = 0; j < rows; ++j) {
-      if (j != i) srcs.push_back(arena.data() + slot(pmod(i - 1 - j, p), j));
+      if (j != i) srcs.push_back(view[slot(pmod(i - 1 - j, p), j)]);
     }
     xor_accumulate(out.subspan(static_cast<std::size_t>(i - lo) * bs, bs),
                    srcs);
@@ -740,21 +734,30 @@ IoResult OnlineMigrator::update(std::int64_t logical, std::size_t offset,
       if (!array_.disk_failed(new_disk_)) {
         r = read_range_retry(array_, new_disk_, db, offset, par, retry_, &c);
       }
+      bool diag_updated = false;
       if (r.ok()) {
         xor_delta_into(par, old, in);
-        if (!write_range_retry(array_, new_disk_, db, offset, par, retry_, &c)
-                 .ok()) {
-          ++degraded;
-        }
+        diag_updated =
+            write_range_retry(array_, new_disk_, db, offset, par, retry_, &c)
+                .ok();
       } else if (r.status == IoStatus::kSectorError) {
         // The stored diagonal parity is unreadable: regenerate its
         // whole chain from the (already updated) data. Counted as
         // conversion I/O, which is what the regeneration is.
         IoCounters rc;
-        generate_diags(l.group, diag_row, diag_row + 1, rc);
+        diag_updated =
+            generate_diags(l.group, diag_row, diag_row + 1, rc).ok();
         account(rc, /*conversion=*/true);
-      } else {
+      }
+      if (!diag_updated) {
         ++degraded;
+        if (events_) {
+          emit_event(obs::EventLevel::kWarn,
+                     "degraded write: diagonal parity not updated for "
+                     "logical block " +
+                         std::to_string(logical),
+                     l.group, -1, new_disk_, db, "degraded_write");
+        }
       }
     }
   }
@@ -853,7 +856,7 @@ std::int64_t OnlineMigrator::rebuild_failed_disks() {
 
   if (failed.size() == 1 && failed[0] < m_) {
     // Single source disk: every block is the XOR of its row mates.
-    // Rebuild in multi-block chunks — one sequential run per surviving
+    // Rebuild in multi-block chunks — one borrowed run per surviving
     // disk per chunk plus one run for the rewrite, falling back to the
     // retrying per-block chain only when a chunk hits an injected fault.
     const int d = failed[0];
@@ -861,8 +864,10 @@ std::int64_t OnlineMigrator::rebuild_failed_disks() {
     constexpr std::int64_t kChunk = 64;
     const std::int64_t total = array_.blocks_per_disk();
     const auto nsrc = static_cast<std::size_t>(m_ - 1);
-    PooledBuffer arena(static_cast<std::size_t>(kChunk) * bs * nsrc);
     PooledBuffer out(static_cast<std::size_t>(kChunk) * bs);
+    // The i-th surviving disk's run lends view slots [i*kChunk, ...).
+    std::vector<const std::uint8_t*> view(static_cast<std::size_t>(kChunk) *
+                                          nsrc);
     std::vector<const std::uint8_t*> srcs(nsrc);
     std::vector<BlockAddr> addrs;
     for (std::int64_t b0 = 0; b0 < total; b0 += kChunk) {
@@ -872,24 +877,19 @@ std::int64_t OnlineMigrator::rebuild_failed_disks() {
       for (int o = 0; o < m_ && batched; ++o) {
         if (o == d) continue;
         batched = array_
-                      .read_blocks(o, b0, m,
-                                   arena.span().subspan(
-                                       s++ * static_cast<std::size_t>(kChunk) *
-                                           bs,
-                                       static_cast<std::size_t>(m) * bs))
+                      .view_blocks(o, b0,
+                                   std::span(view).subspan(
+                                       s++ * static_cast<std::size_t>(kChunk),
+                                       static_cast<std::size_t>(m)))
                       .ok();
       }
       if (batched) {
         for (std::int64_t k = 0; k < m; ++k) {
           for (std::size_t i = 0; i < nsrc; ++i) {
-            srcs[i] = arena.data() +
-                      (i * static_cast<std::size_t>(kChunk) +
-                       static_cast<std::size_t>(k)) *
-                          bs;
+            srcs[i] = view[i * static_cast<std::size_t>(kChunk) +
+                           static_cast<std::size_t>(k)];
           }
-          xor_accumulate(out.data() + static_cast<std::size_t>(k) * bs,
-                         reinterpret_cast<const void* const*>(srcs.data()),
-                         nsrc, bs);
+          xor_accumulate(out.block(static_cast<std::size_t>(k), bs), srcs);
         }
         batched = array_
                       .write_blocks(d, b0, m,

@@ -1,12 +1,12 @@
 // Lockdown of the batched stripe-aware controller I/O path against the
-// per-block reference: the ranged read/write planner (full-stripe
-// encode fast path, coalesced partial-stripe deltas, per-column run
+// per-block reference: the ranged read/write planner (direct parities
+// for full stripes, coalesced partial-stripe deltas, per-column run
 // batching) must leave byte-identical array contents for every
 // geometry, failure state and cache setting — and every stripe must
 // hold encode() of the test's byte mirror — and the full-stripe fast
 // path must issue zero pre-reads. Also pins the vectored DiskArray
-// primitives the planner is built on, including their per-block fault
-// semantics.
+// primitives the planner and the migrator are built on (copying and
+// borrowed runs), including their per-block fault semantics.
 
 #include <gtest/gtest.h>
 
@@ -193,9 +193,9 @@ std::vector<Param> all_params() {
 INSTANTIATE_TEST_SUITE_P(Zoo, BatchDifferentialTest,
                          ::testing::ValuesIn(all_params()), param_name);
 
-/// The full-stripe fast path regenerates parity with encode() — by
-/// construction it must not read anything, and each touched column must
-/// be written as one sequential run.
+/// A full-stripe write computes every parity directly from the new
+/// data — by construction it must not read anything, and each touched
+/// column must be written as one sequential run.
 TEST(BatchPlanner, FullStripeWriteIssuesNoReads) {
   for (int p : {5, 7}) {
     auto code = make_code(CodeId::kCode56, p);
@@ -267,7 +267,7 @@ TEST(BatchPlanner, FullRowWriteSkipsCoveredParityPreread) {
 }
 
 /// Vectored DiskArray primitives: counter semantics and per-block fault
-/// behaviour of read_blocks/write_blocks.
+/// behaviour of read_blocks/write_blocks and the borrowed view_blocks.
 TEST(VectoredIo, CountsBlocksButOneRun) {
   DiskArray a(2, 16, kBlock);
   Buffer buf(8 * kBlock);
@@ -287,6 +287,21 @@ TEST(VectoredIo, CountsBlocksButOneRun) {
   EXPECT_THROW(a.read_blocks(0, 0, 0, buf.span().subspan(0, 0)),
                std::out_of_range);
   EXPECT_THROW(a.read_blocks(0, 0, 4, buf.span()), std::invalid_argument);
+  // A borrowed run counts exactly like read_blocks and lends the stored
+  // images in place.
+  std::vector<const std::uint8_t*> view(8);
+  EXPECT_TRUE(a.view_blocks(1, 2, view).ok());
+  EXPECT_EQ(a.reads(1), 8u);
+  EXPECT_EQ(a.read_runs(1), 1u);
+  EXPECT_EQ(a.read_bytes(1), 8 * kBlock);
+  EXPECT_EQ(a.read_bytes(0), 9 * kBlock);
+  const auto raw = a.raw_blocks(1, 2, 8);
+  for (std::size_t k = 0; k < view.size(); ++k) {
+    EXPECT_EQ(view[k], raw.data() + k * kBlock) << k;
+  }
+  EXPECT_THROW(a.view_blocks(1, 12, view), std::out_of_range);
+  EXPECT_THROW(a.view_blocks(1, 0, {}), std::out_of_range);
+  EXPECT_EQ(a.reads(1), 8u);  // rejected before any charge
 }
 
 TEST(VectoredIo, BadBlockAbortsRunAtItsCoordinates) {
@@ -300,6 +315,20 @@ TEST(VectoredIo, BadBlockAbortsRunAtItsCoordinates) {
   EXPECT_EQ(r.disk, 0);
   EXPECT_EQ(r.block, 5);
   EXPECT_EQ(a.reads(0), 8u);  // the run is still charged in full
+  // The borrowed run stops at the same coordinates; the blocks before
+  // the fault are lent, the rest of `view` is untouched.
+  std::vector<const std::uint8_t*> view(8, nullptr);
+  const IoResult v = a.view_blocks(0, 2, view);
+  EXPECT_EQ(v.status, IoStatus::kSectorError);
+  EXPECT_EQ(v.disk, 0);
+  EXPECT_EQ(v.block, 5);
+  EXPECT_EQ(a.reads(0), 16u);
+  EXPECT_EQ(a.read_runs(0), 2u);
+  EXPECT_EQ(a.sector_errors(), 2u);
+  const auto raw = a.raw_blocks(0, 2, 8);
+  for (std::size_t k = 0; k < view.size(); ++k) {
+    EXPECT_EQ(view[k], k < 3 ? raw.data() + k * kBlock : nullptr) << k;
+  }
 }
 
 TEST(VectoredIo, FailAfterCrossesMidRun) {
@@ -324,6 +353,30 @@ TEST(VectoredIo, FailAfterCrossesMidRun) {
   const IoResult r2 = a.read_blocks(0, 0, 8, buf.span());
   EXPECT_EQ(r2.status, IoStatus::kDiskFailed);
   EXPECT_EQ(r2.block, 0);
+  // ...and lends nothing.
+  std::vector<const std::uint8_t*> view(8, nullptr);
+  const IoResult r3 = a.view_blocks(0, 0, view);
+  EXPECT_EQ(r3.status, IoStatus::kDiskFailed);
+  EXPECT_EQ(r3.block, 0);
+  EXPECT_TRUE(std::ranges::all_of(view, [](auto* q) { return q == nullptr; }));
+
+  // A borrowed run advances the fail_after ordinals by its length and
+  // crosses the threshold mid-run like a copying run.
+  DiskArray b(1, 16, kBlock);
+  plan.disk_failures = {{0, 10}};
+  b.set_fault_plan(plan);
+  EXPECT_TRUE(b.view_blocks(0, 0, std::span(view).first(6)).ok());
+  std::ranges::fill(view, nullptr);
+  const IoResult r4 = b.view_blocks(0, 6, view);
+  EXPECT_EQ(r4.status, IoStatus::kDiskFailed);
+  EXPECT_EQ(r4.block, 10);  // ordinals 6..9 survive, the 11th I/O fails
+  EXPECT_EQ(b.reads(0), 14u);
+  EXPECT_EQ(b.read_runs(0), 2u);
+  EXPECT_TRUE(b.disk_failed(0));
+  const auto raw = b.raw_blocks(0, 6, 8);
+  for (std::size_t k = 0; k < view.size(); ++k) {
+    EXPECT_EQ(view[k], k < 4 ? raw.data() + k * kBlock : nullptr) << k;
+  }
 }
 
 // Ranged-request edge cases: the bounds check must accept ranges that

@@ -16,6 +16,7 @@
 #include "migration/journal.hpp"
 #include "migration/online.hpp"
 #include "obs/events.hpp"
+#include "util/prime.hpp"
 #include "util/rng.hpp"
 #include "xorblk/xor.hpp"
 
@@ -296,6 +297,55 @@ TEST(DegradedConversion, BadBlockMidSourceRunKeepsEarlierBlocks) {
   EXPECT_EQ(array.read_runs(0), 1 + attempts + 2);
   EXPECT_TRUE(mig.verify_raid6());
   expect_byte_identical(array, *ref, "bad block mid-run");
+}
+
+TEST(DegradedConversion, FailedDiagonalRegenerationIsADegradedWrite) {
+  // After conversion, a write whose stored diagonal parity is unreadable
+  // regenerates that diagonal block. When the regeneration's rewrite
+  // fails too (the new disk dies on it), the write must report the
+  // stale diagonal as degraded instead of passing for a full update.
+  const int p = 5, m = 4;
+  DiskArray array(m, 2LL * (p - 1), kBlock);
+  fill_raid5(array, m, 43);
+  OnlineMigrator mig(array, p);
+  const RetryPolicy retry = fast_retry();
+  mig.set_retry_policy(retry);
+  obs::EventLog log;
+  mig.attach_events(log, "diag-regen");
+  mig.start();
+  mig.finish();
+  ASSERT_EQ(mig.state(), MigrationState::kDone);
+
+  const std::int64_t logical = 5;
+  const Addr a = logical_addr(logical, m);
+  const int row = static_cast<int>(a.block % (p - 1));
+  const std::int64_t diag_block =
+      a.block - row + pmod(row + a.disk + 1, p);  // same group, diagonal row
+  const int nd = mig.new_disk();
+  FaultPlan plan;
+  plan.bad_blocks.push_back({.disk = nd, .block = diag_block});
+  // Each attempt at the bad diagonal block is one counted I/O; the
+  // regeneration's rewrite is the next one and trips fail_after.
+  plan.disk_failures.push_back(
+      {.disk = nd,
+       .after_ios = array.reads(nd) + array.writes(nd) +
+                    static_cast<std::uint64_t>(retry.max_attempts)});
+  array.set_fault_plan(plan);
+  const std::vector<std::uint8_t> data(kBlock, 0x5A);
+  EXPECT_TRUE(mig.write_block(logical, data).ok());
+  EXPECT_TRUE(array.disk_failed(nd));
+  EXPECT_EQ(mig.stats().degraded_writes, 1u);
+  int degraded_events = 0;
+  for (const obs::Event& ev : log.snapshot()) {
+    degraded_events +=
+        ev.message.find("degraded write") != std::string::npos &&
+        ev.disk == nd && ev.block == diag_block;
+  }
+  EXPECT_EQ(degraded_events, 1);
+  // The data and horizontal parity did land: the write reads back.
+  std::vector<std::uint8_t> back(kBlock);
+  ASSERT_TRUE(mig.read_block(logical, back).ok());
+  EXPECT_EQ(back, data);
 }
 
 TEST(DegradedConversion, DoubleFailureAbortsCleanly) {
