@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -24,6 +23,22 @@ namespace {
                            to_string(r.status) + ") at disk " +
                            std::to_string(r.disk) + " block " +
                            std::to_string(r.block));
+}
+
+// Calls fn on each maximal stretch of `cells` (sorted by column, then
+// row) that sits in one column on consecutive rows: one DiskArray run.
+template <class T, class Fn>
+void for_each_run(std::span<T> cells, Fn fn) {
+  std::size_t i = 0;
+  while (i < cells.size()) {
+    std::size_t j = i + 1;
+    while (j < cells.size() && cells[j].cell.col == cells[i].cell.col &&
+           cells[j].cell.row == cells[j - 1].cell.row + 1) {
+      ++j;
+    }
+    fn(cells.subspan(i, j - i));
+    i = j;
+  }
 }
 
 std::uint64_t elapsed_us(std::chrono::steady_clock::time_point t0) {
@@ -219,6 +234,7 @@ struct ArrayController::Scratch {
   std::vector<CellFetch> fetch;
   std::vector<CellWrite> wr;
   std::vector<const std::uint8_t*> srcs;
+  std::vector<const std::uint8_t*> run;  // one DiskArray run's blocks
 };
 
 ArrayController::Scratch& ArrayController::scratch() {
@@ -297,42 +313,28 @@ void ArrayController::fetch_cells(std::int64_t stripe,
   std::ranges::sort(rest, {}, [](const CellFetch& f) {
     return std::pair(f.cell.col, f.cell.row);
   });
-  std::size_t i = 0;
-  while (i < rest.size()) {
-    std::size_t j = i + 1;
-    while (j < rest.size() && rest[j].cell.col == rest[i].cell.col &&
-           rest[j].cell.row == rest[j - 1].cell.row + 1) {
-      ++j;
-    }
-    const auto m = static_cast<int>(j - i);
-    const int d = disk_of(rest[i].cell.col);
-    const std::int64_t b0 = block_of(stripe, rest[i].cell.row);
-    bool per_block = (m == 1);
-    if (m > 1) {
-      PooledBuffer staging(static_cast<std::size_t>(m) * bs);
-      const IoResult r = array_.read_blocks(d, b0, m, staging.span());
-      if (r.ok()) {
-        for (int k = 0; k < m; ++k) {
-          const auto dst = dst_of(rest[i + static_cast<std::size_t>(k)]);
-          std::memcpy(dst.data(),
-                      staging.data() + static_cast<std::size_t>(k) * bs, bs);
-          if (use_cache) cache_fill(stripe, rest[i + k].cell, dst);
-        }
+  std::vector<const std::uint8_t*>& view = scratch().run;
+  for_each_run(rest, [&](std::span<const CellFetch> run) {
+    const int d = disk_of(run[0].cell.col);
+    const std::int64_t b0 = block_of(stripe, run[0].cell.row);
+    view.resize(run.size());
+    const IoResult r = array_.view_blocks(d, b0, view);
+    // A fault keeps the borrowed prefix and retries from its block on.
+    const std::size_t ok = r.ok() ? run.size()
+                                  : static_cast<std::size_t>(r.block - b0);
+    for (std::size_t k = 0; k < run.size(); ++k) {
+      const auto dst = dst_of(run[k]);
+      if (k < ok) {
+        std::memcpy(dst.data(), view[k], bs);
       } else {
-        per_block = true;  // injected fault: reads are idempotent, redo
+        const IoResult rk = read_block_retry(
+            array_, d, b0 + static_cast<std::int64_t>(k), dst, RetryPolicy{},
+            nullptr);
+        if (!rk.ok()) throw_io("read failed", rk);
       }
+      if (use_cache) cache_fill(stripe, run[k].cell, dst);
     }
-    if (per_block) {
-      for (int k = 0; k < m; ++k) {
-        const auto dst = dst_of(rest[i + static_cast<std::size_t>(k)]);
-        const IoResult r = read_block_retry(array_, d, b0 + k, dst,
-                                            RetryPolicy{}, nullptr);
-        if (!r.ok()) throw_io("read failed", r);
-        if (use_cache) cache_fill(stripe, rest[i + k].cell, dst);
-      }
-    }
-    i = j;
-  }
+  });
 }
 
 void ArrayController::write_cells(std::int64_t stripe,
@@ -341,42 +343,25 @@ void ArrayController::write_cells(std::int64_t stripe,
   std::ranges::sort(w, {}, [](const CellWrite& cw) {
     return std::pair(cw.cell.col, cw.cell.row);
   });
-  std::optional<PooledBuffer> staging;  // only runs of 2+ blocks need it
-  std::size_t i = 0;
-  while (i < w.size()) {
-    std::size_t j = i + 1;
-    while (j < w.size() && w[j].cell.col == w[i].cell.col &&
-           w[j].cell.row == w[j - 1].cell.row + 1) {
-      ++j;
+  std::vector<const std::uint8_t*>& srcs = scratch().run;
+  for_each_run(w, [&](std::span<const CellWrite> run) {
+    const int d = disk_of(run[0].cell.col);
+    const std::int64_t b0 = block_of(stripe, run[0].cell.row);
+    srcs.clear();
+    for (const CellWrite& cw : run) srcs.push_back(cw.src);
+    const IoResult r = array_.write_blocks(d, b0, srcs);
+    // A dead disk's blocks are dropped for fail_disk/rebuild. A torn
+    // block is repaired by a full rewrite: keep the persisted prefix
+    // and rewrite from the torn block on, each with retries.
+    if (r.status != IoStatus::kTornWrite) return;
+    for (auto b = r.block; b < b0 + static_cast<std::int64_t>(run.size());
+         ++b) {
+      const IoResult rb = write_block_retry(
+          array_, d, b, {srcs[static_cast<std::size_t>(b - b0)], bs},
+          RetryPolicy{}, nullptr);
+      if (rb.status == IoStatus::kDiskFailed) return;
     }
-    const auto m = static_cast<int>(j - i);
-    const int d = disk_of(w[i].cell.col);
-    const std::int64_t b0 = block_of(stripe, w[i].cell.row);
-    if (m == 1) {
-      array_.write_block(d, b0, {w[i].src, bs});
-    } else {
-      if (!staging) {
-        staging.emplace(static_cast<std::size_t>(code_->rows()) * bs);
-      }
-      for (int k = 0; k < m; ++k) {
-        std::memcpy(staging->data() + static_cast<std::size_t>(k) * bs,
-                    w[i + static_cast<std::size_t>(k)].src, bs);
-      }
-      const IoResult r = array_.write_blocks(
-          d, b0, m,
-          staging->span().subspan(0, static_cast<std::size_t>(m) * bs));
-      if (r.status == IoStatus::kTornWrite) {
-        // A torn block is repaired by a full rewrite; redo the run per
-        // block so only the torn one is retried with backoff.
-        for (int k = 0; k < m; ++k) {
-          write_block_retry(array_, d, b0 + k,
-                            {w[i + static_cast<std::size_t>(k)].src, bs},
-                            RetryPolicy{}, nullptr);
-        }
-      }
-    }
-    i = j;
-  }
+  });
 }
 
 void ArrayController::write(std::int64_t logical,
@@ -924,31 +909,11 @@ Buffer ArrayController::read_stripe(std::int64_t stripe) const {
 void ArrayController::read_stripe_into(std::int64_t stripe,
                                        std::span<std::uint8_t> out) const {
   const std::size_t bs = array_.block_bytes();
-  const int rows = code_->rows();
-  const int cols = code_->cols();
   if (out.size() != static_cast<std::size_t>(code_->cell_count()) * bs) {
     throw std::invalid_argument("read_stripe_into: bad buffer size");
   }
-  StripeView v(out, rows, cols, bs);
-  const DiskArray& array = array_;
-  for (int c = 0; c < cols; ++c) {
-    const std::span<const std::uint8_t> col_src =
-        c < virtual_cols_
-            ? std::span<const std::uint8_t>{}
-            : array.raw_blocks(disk_of(c),
-                               stripe * static_cast<std::int64_t>(rows),
-                               rows);
-    for (int r = 0; r < rows; ++r) {
-      const auto dst = v.block({r, c});
-      if (kind_[static_cast<std::size_t>(r) * cols + c] ==
-          CellKind::kVirtual) {
-        std::memset(dst.data(), 0, bs);
-      } else {
-        std::memcpy(dst.data(),
-                    col_src.data() + static_cast<std::size_t>(r) * bs, bs);
-      }
-    }
-  }
+  load_raw_stripe(array_, *code_, virtual_cols_, block_of(stripe, 0),
+                  StripeView(out, rows_, cols_, bs));
 }
 
 std::vector<std::int64_t> ArrayController::scrub() {

@@ -32,8 +32,15 @@
 //     parity or that are partially written, idempotent cells are
 //     dropped, and every pre-read is issued before the first write, so
 //     a failed read leaves the stripe untouched. Whole-block cells move
-//     through vectored DiskArray runs (one run per per-column stretch),
-//     partial cells through range I/O.
+//     through one DiskArray run per per-column stretch, partial cells
+//     through range I/O. A read run is borrowed (view_blocks) and
+//     copied straight into its destination; a write run is gathered
+//     from the planner's source pointers. Every block moves once.
+// A run that faults keeps its transferred prefix and continues block
+// by block through the retry helpers from the faulting block on: a
+// read that still fails throws, a torn block is rewritten with retries
+// (a one-block run exactly like a longer one), and a write to a dead
+// disk is dropped for the failure machinery (fail_disk/rebuild).
 // A one-block write therefore pays Table III's price — one
 // read-modify-write per affected parity, 6 I/Os for an optimal code —
 // and write_range(l, 0, full_block) is byte- and I/O-identical to
@@ -251,8 +258,8 @@ class ArrayController {
   /// caller holds the stripe lock.
   PlanStats write_stripe(std::int64_t stripe, std::span<const SubWrite> ups);
   // Vectored cell I/O: both group the requested cells into per-column
-  // runs of consecutive rows and issue one DiskArray batch per run
-  // (reordering `want`/`w` in place).
+  // runs of consecutive rows and issue one borrowed (fetch) or gathered
+  // (write) DiskArray run per run, reordering `want`/`w` in place.
   struct CellFetch {
     Cell cell;
     int dst;  // block index inside the destination buffer

@@ -1,11 +1,10 @@
 #include "migration/degraded.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <vector>
 
-#include "xorblk/buffer.hpp"
-#include "xorblk/pool.hpp"
 #include "xorblk/xor.hpp"
 
 namespace c56::mig {
@@ -71,11 +70,9 @@ IoResult write_range_retry(DiskArray& a, int disk, std::int64_t block,
 IoResult xor_chain_read(DiskArray& a, std::span<const BlockAddr> sources,
                         std::span<std::uint8_t> out,
                         const RetryPolicy& policy, IoCounters* counters) {
-  // Stage every chain member into one pooled arena, then fold them in a
-  // single accumulate pass — the parity is produced without re-reading
-  // out, and steady-state reconstruction allocates nothing.
-  const std::size_t bs = a.block_bytes();
-  PooledBuffer arena(bs * sources.size());
+  // Borrow every chain member as a one-block view, each retried on its
+  // own, then fold them in a single accumulate pass: nothing is staged,
+  // and the parity is produced without re-reading out.
   constexpr std::size_t kInline = 64;
   const std::uint8_t* inline_srcs[kInline];
   std::vector<const std::uint8_t*> heap_srcs;
@@ -85,15 +82,38 @@ IoResult xor_chain_read(DiskArray& a, std::span<const BlockAddr> sources,
     srcs = heap_srcs.data();
   }
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    auto slot = arena.block(i, bs);
-    const IoResult r = read_block_retry(a, sources[i].disk, sources[i].block,
-                                        slot, policy, counters);
+    const BlockAddr& s = sources[i];
+    const IoResult r = with_retry(policy, counters, &IoCounters::reads, [&] {
+      return a.view_blocks(s.disk, s.block, {srcs + i, 1});
+    });
     if (!r.ok()) return r;
-    srcs[i] = slot.data();
   }
   xor_accumulate(out.data(), reinterpret_cast<const void* const*>(srcs),
-                 sources.size(), bs);
+                 sources.size(), a.block_bytes());
   return IoResult::success();
+}
+
+void load_raw_stripe(const DiskArray& a, const ErasureCode& code,
+                     int virtual_cols, std::int64_t base_block,
+                     StripeView v) {
+  const int rows = code.rows();
+  const std::size_t bs = a.block_bytes();
+  for (int c = 0; c < code.cols(); ++c) {
+    const int d = c - virtual_cols;
+    const bool on_disk = d >= 0 && d < a.disks();
+    const std::span<const std::uint8_t> col =
+        on_disk ? a.raw_blocks(d, base_block, rows)
+                : std::span<const std::uint8_t>{};
+    for (int r = 0; r < rows; ++r) {
+      const auto dst = v.block({r, c});
+      if (!on_disk || code.kind({r, c}) == CellKind::kVirtual) {
+        std::ranges::fill(dst, std::uint8_t{0});
+      } else {
+        std::ranges::copy(col.subspan(static_cast<std::size_t>(r) * bs, bs),
+                          dst.begin());
+      }
+    }
+  }
 }
 
 }  // namespace c56::mig

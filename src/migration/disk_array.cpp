@@ -226,67 +226,6 @@ void DiskArray::check_range(int disk, std::int64_t block, std::size_t offset,
   }
 }
 
-IoResult DiskArray::read_range(int disk, std::int64_t block,
-                               std::size_t offset,
-                               std::span<std::uint8_t> out) {
-  // Counted-I/O entry: attribute this call's wall time to the device
-  // stage of whatever request is executing on this thread.
-  obs::DeviceSpan dspan;
-  check_range(disk, block, offset, out.size());
-  Disk& d = *disks_[static_cast<std::size_t>(disk)];
-  d.reads.inc();
-  d.read_runs.inc();
-  d.read_bytes.inc(out.size());
-  const std::uint64_t ord = d.ios.fetch_add(1, std::memory_order_relaxed);
-  if (ord >= d.fail_after.load(std::memory_order_relaxed)) {
-    mark_failed(d);
-  }
-  if (d.failed.load()) return IoResult::fail(IoStatus::kDiskFailed, disk, block);
-  if (injecting_ &&
-      (is_bad(disk, block) || roll(sector_error_rate_))) {
-    sector_errors_.inc();
-    return IoResult::fail(IoStatus::kSectorError, disk, block);
-  }
-  const auto src = d.data.span().subspan(
-      static_cast<std::size_t>(block) * block_bytes_ + offset, out.size());
-  std::memcpy(out.data(), src.data(), out.size());
-  return IoResult::success();
-}
-
-IoResult DiskArray::write_range(int disk, std::int64_t block,
-                                std::size_t offset,
-                                std::span<const std::uint8_t> in) {
-  obs::DeviceSpan dspan;
-  check_range(disk, block, offset, in.size());
-  Disk& d = *disks_[static_cast<std::size_t>(disk)];
-  d.writes.inc();
-  d.write_runs.inc();
-  d.write_bytes.inc(in.size());
-  const std::uint64_t ord = d.ios.fetch_add(1, std::memory_order_relaxed);
-  if (ord >= d.fail_after.load(std::memory_order_relaxed)) {
-    mark_failed(d);
-  }
-  if (d.failed.load()) return IoResult::fail(IoStatus::kDiskFailed, disk, block);
-  const auto dst = d.data.span().subspan(
-      static_cast<std::size_t>(block) * block_bytes_ + offset, in.size());
-  if (injecting_ && roll(torn_write_rate_)) {
-    std::memcpy(dst.data(), in.data(), in.size() / 2);
-    torn_writes_.inc();
-    return IoResult::fail(IoStatus::kTornWrite, disk, block);
-  }
-  std::memcpy(dst.data(), in.data(), in.size());
-  if (injecting_) {
-    // A partial write can't remap the block, so the bad mark stays
-    // unless the range is the whole block.
-    if (offset == 0 && in.size() == block_bytes_) clear_bad(disk, block);
-    if (const auto rot = rot_for_write(disk, block)) {
-      dst[rot->first % in.size()] ^= rot->second;  // flip inside the range
-      silent_corruptions_.inc();
-    }
-  }
-  return IoResult::success();
-}
-
 std::int64_t DiskArray::claim_run(Disk& d, std::int64_t count) {
   const std::uint64_t ord = d.ios.fetch_add(static_cast<std::uint64_t>(count),
                                             std::memory_order_relaxed);
@@ -304,12 +243,12 @@ std::int64_t DiskArray::claim_run(Disk& d, std::int64_t count) {
   return was_failed ? 0 : ok;  // an already-failed disk transfers nothing
 }
 
-IoResult DiskArray::read_run(int disk, std::int64_t block,
-                             std::int64_t count) {
+IoResult DiskArray::read_run(int disk, std::int64_t block, std::int64_t count,
+                             std::size_t len) {
   Disk& d = *disks_[static_cast<std::size_t>(disk)];
   d.reads.inc(static_cast<std::uint64_t>(count));
   d.read_runs.inc();
-  d.read_bytes.inc(static_cast<std::uint64_t>(count) * block_bytes_);
+  d.read_bytes.inc(static_cast<std::uint64_t>(count) * len);
   const std::int64_t ok = claim_run(d, count);
   if (injecting_) {
     for (std::int64_t k = 0; k < ok; ++k) {
@@ -325,6 +264,69 @@ IoResult DiskArray::read_run(int disk, std::int64_t block,
   return IoResult::success();
 }
 
+template <class SrcAt>
+IoResult DiskArray::write_run(int disk, std::int64_t block, std::int64_t count,
+                              std::size_t offset, std::size_t len,
+                              SrcAt src_at) {
+  Disk& d = *disks_[static_cast<std::size_t>(disk)];
+  d.writes.inc(static_cast<std::uint64_t>(count));
+  d.write_runs.inc();
+  d.write_bytes.inc(static_cast<std::uint64_t>(count) * len);
+  const std::int64_t ok = claim_run(d, count);
+  std::uint8_t* dst =
+      d.data.data() + static_cast<std::size_t>(block) * block_bytes_ + offset;
+  for (std::int64_t k = 0; k < ok; ++k, dst += block_bytes_) {
+    const std::uint8_t* src = src_at(k);
+    if (!injecting_) {
+      std::memcpy(dst, src, len);
+      continue;
+    }
+    if (roll(torn_write_rate_)) {
+      std::memcpy(dst, src, len / 2);
+      torn_writes_.inc();
+      return IoResult::fail(IoStatus::kTornWrite, disk, block + k);
+    }
+    std::memcpy(dst, src, len);
+    // Only a full-block rewrite remaps a bad block; a partial write
+    // leaves the mark in place.
+    if (len == block_bytes_) clear_bad(disk, block + k);
+    if (const auto rot = rot_for_write(disk, block + k)) {
+      dst[rot->first % len] ^= rot->second;  // silent: still reported ok
+      silent_corruptions_.inc();
+    }
+  }
+  if (ok < count) {
+    return IoResult::fail(IoStatus::kDiskFailed, disk, block + ok);
+  }
+  return IoResult::success();
+}
+
+IoResult DiskArray::read_range(int disk, std::int64_t block,
+                               std::size_t offset,
+                               std::span<std::uint8_t> out) {
+  // Counted-I/O entry: attribute this call's wall time to the device
+  // stage of whatever request is executing on this thread.
+  obs::DeviceSpan dspan;
+  check_range(disk, block, offset, out.size());
+  const IoResult r = read_run(disk, block, 1, out.size());
+  if (r.ok()) {
+    std::memcpy(out.data(),
+                disks_[static_cast<std::size_t>(disk)]->data.data() +
+                    static_cast<std::size_t>(block) * block_bytes_ + offset,
+                out.size());
+  }
+  return r;
+}
+
+IoResult DiskArray::write_range(int disk, std::int64_t block,
+                                std::size_t offset,
+                                std::span<const std::uint8_t> in) {
+  obs::DeviceSpan dspan;
+  check_range(disk, block, offset, in.size());
+  return write_run(disk, block, 1, offset, in.size(),
+                   [&](std::int64_t) { return in.data(); });
+}
+
 IoResult DiskArray::read_blocks(int disk, std::int64_t block,
                                 std::int64_t count,
                                 std::span<std::uint8_t> out) {
@@ -333,7 +335,7 @@ IoResult DiskArray::read_blocks(int disk, std::int64_t block,
   if (out.size() != static_cast<std::size_t>(count) * block_bytes_) {
     throw std::invalid_argument("DiskArray::read_blocks: bad buffer size");
   }
-  const IoResult r = read_run(disk, block, count);
+  const IoResult r = read_run(disk, block, count, block_bytes_);
   const std::size_t n =
       static_cast<std::size_t>(r.ok() ? count : r.block - block);
   if (n > 0) {
@@ -350,7 +352,7 @@ IoResult DiskArray::view_blocks(int disk, std::int64_t block,
   obs::DeviceSpan dspan;
   const auto count = static_cast<std::int64_t>(out.size());
   check_run(disk, block, count);
-  const IoResult r = read_run(disk, block, count);
+  const IoResult r = read_run(disk, block, count, block_bytes_);
   const std::uint8_t* src =
       disks_[static_cast<std::size_t>(disk)]->data.data() +
       static_cast<std::size_t>(block) * block_bytes_;
@@ -370,41 +372,19 @@ IoResult DiskArray::write_blocks(int disk, std::int64_t block,
   if (in.size() != static_cast<std::size_t>(count) * block_bytes_) {
     throw std::invalid_argument("DiskArray::write_blocks: bad buffer size");
   }
-  Disk& d = *disks_[static_cast<std::size_t>(disk)];
-  d.writes.inc(static_cast<std::uint64_t>(count));
-  d.write_runs.inc();
-  d.write_bytes.inc(static_cast<std::uint64_t>(count) * block_bytes_);
-  const std::int64_t ok = claim_run(d, count);
-  const auto dst = d.data.span().subspan(
-      static_cast<std::size_t>(block) * block_bytes_,
-      static_cast<std::size_t>(count) * block_bytes_);
-  if (!injecting_) {
-    if (ok > 0) {
-      std::memcpy(dst.data(), in.data(),
-                  static_cast<std::size_t>(ok) * block_bytes_);
-    }
-    if (ok < count) return IoResult::fail(IoStatus::kDiskFailed, disk,
-                                          block + ok);
-    return IoResult::success();
-  }
-  for (std::int64_t k = 0; k < ok; ++k) {
-    auto* bdst = dst.data() + static_cast<std::size_t>(k) * block_bytes_;
-    const auto* bsrc = in.data() + static_cast<std::size_t>(k) * block_bytes_;
-    if (roll(torn_write_rate_)) {
-      std::memcpy(bdst, bsrc, block_bytes_ / 2);
-      torn_writes_.inc();
-      return IoResult::fail(IoStatus::kTornWrite, disk, block + k);
-    }
-    std::memcpy(bdst, bsrc, block_bytes_);
-    clear_bad(disk, block + k);  // successful rewrite remaps
-    if (const auto rot = rot_for_write(disk, block + k)) {
-      bdst[rot->first] ^= rot->second;  // silent: still reported as ok
-      silent_corruptions_.inc();
-    }
-  }
-  if (ok < count) return IoResult::fail(IoStatus::kDiskFailed, disk,
-                                        block + ok);
-  return IoResult::success();
+  return write_run(disk, block, count, 0, block_bytes_, [&](std::int64_t k) {
+    return in.data() + static_cast<std::size_t>(k) * block_bytes_;
+  });
+}
+
+IoResult DiskArray::write_blocks(int disk, std::int64_t block,
+                                 std::span<const std::uint8_t* const> srcs) {
+  obs::DeviceSpan dspan;
+  const auto count = static_cast<std::int64_t>(srcs.size());
+  check_run(disk, block, count);
+  return write_run(disk, block, count, 0, block_bytes_, [&](std::int64_t k) {
+    return srcs[static_cast<std::size_t>(k)];
+  });
 }
 
 std::uint64_t DiskArray::reads(int disk) const {

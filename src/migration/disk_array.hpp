@@ -99,6 +99,11 @@ class DiskArray {
   /// holds whatever exclusion orders writes to those blocks.
   IoResult view_blocks(int disk, std::int64_t block,
                        std::span<const std::uint8_t*> out);
+  /// Gathered write run, the mirror of view_blocks: writes srcs.size()
+  /// consecutive blocks, block k from srcs[k] (one block each), counted
+  /// and fault-checked exactly like the contiguous write_blocks.
+  IoResult write_blocks(int disk, std::int64_t block,
+                        std::span<const std::uint8_t* const> srcs);
 
   /// Install a fault plan (replaces any previous one and reseeds the
   /// injection RNG). Not safe against concurrent in-flight I/O.
@@ -195,10 +200,20 @@ class DiskArray {
   // returns how many leading blocks of the run the disk survives (0 if
   // it was already failed).
   std::int64_t claim_run(Disk& d, std::int64_t count);
-  // The counted, fault-checked core of read_blocks and view_blocks:
-  // charges the run and returns success or the first fault's
-  // coordinates. The blocks before the fault may be transferred.
-  IoResult read_run(int disk, std::int64_t block, std::int64_t count);
+  // The one counted core per direction. Every counted access is a run
+  // of `count` consecutive blocks moving `len` bytes of each (a range
+  // access is the one-block run of its range); the core charges the
+  // counters and fail_after ordinals and applies the per-block faults.
+  // read_run returns success or the first fault's coordinates, and the
+  // caller copies or lends the blocks before it. write_run persists
+  // block k's range from src_at(k) up to the first fault: a torn block
+  // keeps the first half of its range, a full-block write clears a bad
+  // mark, and a rot flip lands inside the range.
+  IoResult read_run(int disk, std::int64_t block, std::int64_t count,
+                    std::size_t len);
+  template <class SrcAt>
+  IoResult write_run(int disk, std::int64_t block, std::int64_t count,
+                     std::size_t offset, std::size_t len, SrcAt src_at);
 
   void check(int disk, std::int64_t block) const;  // throws out_of_range
   void check_run(int disk, std::int64_t block, std::int64_t count) const;

@@ -944,13 +944,7 @@ std::int64_t OnlineMigrator::rebuild_failed_disks() {
     PooledBuffer stripe(static_cast<std::size_t>(code_.cell_count()) * bs);
     for (std::int64_t g = 0; g < groups_; ++g) {
       StripeView v(stripe.span(), p - 1, p, bs);
-      for (int c = 0; c <= p - 1; ++c) {
-        const auto col = array_.raw_blocks(c, g * (p - 1), p - 1);
-        for (int r = 0; r <= p - 2; ++r) {
-          std::ranges::copy(col.subspan(static_cast<std::size_t>(r) * bs, bs),
-                            v.block({r, c}).begin());
-        }
-      }
+      load_raw_stripe(array_, code_, 0, g * (p - 1), v);
       if (!code_.decode_columns(v, failed).has_value()) {
         throw std::runtime_error("rebuild_failed_disks: group " +
                                  std::to_string(g) + " not decodable");
@@ -982,13 +976,7 @@ bool OnlineMigrator::verify_raid6() const {
   PooledBuffer stripe(static_cast<std::size_t>(code_.cell_count()) * bs);
   for (std::int64_t g = 0; g < groups_; ++g) {
     StripeView v(stripe.span(), p - 1, p, bs);
-    for (int c = 0; c <= p - 1; ++c) {
-      const auto col = array_.raw_blocks(c, g * (p - 1), p - 1);
-      for (int r = 0; r <= p - 2; ++r) {
-        std::ranges::copy(col.subspan(static_cast<std::size_t>(r) * bs, bs),
-                          v.block({r, c}).begin());
-      }
-    }
+    load_raw_stripe(array_, code_, 0, g * (p - 1), v);
     if (!code_.verify(v)) return false;
   }
   return true;

@@ -1,8 +1,6 @@
 #include "obs/trace.hpp"
 
-#include <chrono>
 #include <sstream>
-#include <thread>
 #include <unordered_set>
 
 #include "util/env.hpp"
@@ -12,21 +10,6 @@ namespace c56::obs {
 void set_trace_enabled(bool on) noexcept {
   detail::g_trace_enabled.store(on, std::memory_order_relaxed);
 }
-
-namespace {
-
-std::uint64_t now_us() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-std::uint64_t this_tid() {
-  return std::hash<std::thread::id>{}(std::this_thread::get_id());
-}
-
-}  // namespace
 
 TraceRecorder::TraceRecorder(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
@@ -111,23 +94,6 @@ std::string TraceRecorder::to_json() const {
   }
   out << "]}\n";
   return out.str();
-}
-
-ScopedSpan::ScopedSpan(const char* name) {
-  if (trace_enabled()) {
-    name_ = name;
-    start_us_ = now_us();
-  }
-}
-
-ScopedSpan::~ScopedSpan() {
-  if (!name_) return;
-  TraceSpan s;
-  s.name = name_;
-  s.start_us = start_us_;
-  s.dur_us = now_us() - start_us_;
-  s.tid = this_tid();
-  TraceRecorder::global().record(std::move(s));
 }
 
 }  // namespace c56::obs

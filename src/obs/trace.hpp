@@ -4,13 +4,11 @@
 // A TraceSpan is a (name, start_us, dur_us, tid) tuple, optionally
 // carrying request identity: a trace id shared by every span of one
 // request, this span's own id, a parent span id, and the request's
-// context (tenant, volume, bytes). ScopedSpan is the RAII way to emit
-// an anonymous span around a region of interest (a ranged write, a
-// stripe-group conversion, a journal checkpoint); the service plane's
-// completion path records full request span trees directly (see
-// obs/reqtrace.hpp). Recording is off by default and gated on
-// trace_enabled() — one relaxed atomic-bool branch — so instrumented
-// code costs nothing when tracing is disarmed.
+// context (tenant, volume, bytes). The service plane's completion path
+// records full request span trees (see obs/reqtrace.hpp). Recording is
+// off by default and gated on trace_enabled() — one relaxed
+// atomic-bool branch — so instrumented code costs nothing when tracing
+// is disarmed.
 //
 // The recorder keeps the most recent `capacity` spans in a fixed ring
 // under a mutex (spans are rare, coarse events — lock cost is noise
@@ -59,7 +57,7 @@ class TraceRecorder {
 
   explicit TraceRecorder(std::size_t capacity = kDefaultCapacity);
 
-  /// Process-wide recorder used by ScopedSpan.
+  /// Process-wide recorder (the service plane's request span trees).
   static TraceRecorder& global();
 
   void record(TraceSpan span);
@@ -84,20 +82,6 @@ class TraceRecorder {
   std::vector<TraceSpan> ring_;
   std::size_t next_ = 0;      // ring write cursor
   std::uint64_t total_ = 0;   // spans ever recorded
-};
-
-/// Records a span covering its own lifetime when tracing is enabled at
-/// construction time. The name must outlive the scope (string literals).
-class ScopedSpan {
- public:
-  explicit ScopedSpan(const char* name);
-  ~ScopedSpan();
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  const char* name_ = nullptr;  // nullptr when tracing was off
-  std::uint64_t start_us_ = 0;
 };
 
 }  // namespace c56::obs

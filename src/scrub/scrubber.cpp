@@ -5,6 +5,7 @@
 #include <string>
 
 #include "layout/geometry.hpp"
+#include "migration/degraded.hpp"
 #include "util/env.hpp"
 
 namespace c56::scrub {
@@ -62,30 +63,11 @@ int Scrubber::disk_of_col(int col) const {
   return (d >= 0 && d < array_.disks()) ? d : -1;
 }
 
-void Scrubber::load_stripe(std::int64_t base_block) {
-  const std::size_t bs = array_.block_bytes();
-  const int rows = code_.rows();
-  const int cols = code_.cols();
-  StripeView v(buf_.span(), rows, cols, bs);
-  for (int c = 0; c < cols; ++c) {
-    const int d = disk_of_col(c);
-    for (int r = 0; r < rows; ++r) {
-      const auto dst = v.block({r, c});
-      if (d < 0 || code_.kind({r, c}) == CellKind::kVirtual) {
-        std::memset(dst.data(), 0, bs);
-      } else {
-        std::memcpy(dst.data(), array_.raw_block(d, base_block + r).data(),
-                    bs);
-      }
-    }
-  }
-}
-
 void Scrubber::scan_locked(std::int64_t stripe, std::int64_t base_block,
                            std::span<const int> trusted, PassReport& rep) {
   const std::size_t bs = array_.block_bytes();
-  load_stripe(base_block);
   StripeView v(buf_.span(), code_.rows(), code_.cols(), bs);
+  mig::load_raw_stripe(array_, code_, virtual_cols_, base_block, v);
   LocateResult res = locator_.locate(v, trusted);
   ++rep.scanned;
   stripes_scanned_.inc();

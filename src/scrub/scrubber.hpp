@@ -135,9 +135,6 @@ class Scrubber {
   /// the first row's block index on each member disk.
   void scan_locked(std::int64_t stripe, std::int64_t base_block,
                    std::span<const int> trusted, PassReport& rep);
-  /// Load the stripe's cells as stored into buf_ (virtual cells and
-  /// columns with no disk are zero-filled).
-  void load_stripe(std::int64_t base_block);
   /// Column of flat cell -> disk id, or -1 when no disk backs it.
   int disk_of_col(int col) const;
   void emit_event(obs::EventLevel level, std::string message,

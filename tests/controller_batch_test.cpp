@@ -266,42 +266,89 @@ TEST(BatchPlanner, FullRowWriteSkipsCoveredParityPreread) {
   }
 }
 
-/// Vectored DiskArray primitives: counter semantics and per-block fault
-/// behaviour of read_blocks/write_blocks and the borrowed view_blocks.
-TEST(VectoredIo, CountsBlocksButOneRun) {
-  DiskArray a(2, 16, kBlock);
-  Buffer buf(8 * kBlock);
-  EXPECT_TRUE(a.write_blocks(0, 2, 8, buf.span()).ok());
-  EXPECT_EQ(a.writes(0), 8u);
-  EXPECT_EQ(a.write_runs(0), 1u);
-  EXPECT_TRUE(a.read_blocks(0, 2, 8, buf.span()).ok());
-  EXPECT_EQ(a.reads(0), 8u);
-  EXPECT_EQ(a.read_runs(0), 1u);
-  // Single-block ops count one run each.
-  Buffer one(kBlock);
-  a.read_block(0, 0, one.span());
-  EXPECT_EQ(a.read_runs(0), 2u);
-  EXPECT_EQ(a.total_read_runs(), 2u);
-  // Bounds are rejected before any transfer.
-  EXPECT_THROW(a.read_blocks(0, 12, 8, buf.span()), std::out_of_range);
-  EXPECT_THROW(a.read_blocks(0, 0, 0, buf.span().subspan(0, 0)),
-               std::out_of_range);
-  EXPECT_THROW(a.read_blocks(0, 0, 4, buf.span()), std::invalid_argument);
-  // A borrowed run counts exactly like read_blocks and lends the stored
-  // images in place.
-  std::vector<const std::uint8_t*> view(8);
-  EXPECT_TRUE(a.view_blocks(1, 2, view).ok());
-  EXPECT_EQ(a.reads(1), 8u);
-  EXPECT_EQ(a.read_runs(1), 1u);
-  EXPECT_EQ(a.read_bytes(1), 8 * kBlock);
-  EXPECT_EQ(a.read_bytes(0), 9 * kBlock);
-  const auto raw = a.raw_blocks(1, 2, 8);
-  for (std::size_t k = 0; k < view.size(); ++k) {
-    EXPECT_EQ(view[k], raw.data() + k * kBlock) << k;
+/// Block k's source in one write run over `buf`: contiguous, or a gather
+/// of the same blocks in reverse order, so a gathered run cannot pass
+/// by reading its sources as one buffer.
+std::vector<const std::uint8_t*> run_sources(std::span<const std::uint8_t> buf,
+                                             bool gathered) {
+  const std::size_t n = buf.size() / kBlock;
+  std::vector<const std::uint8_t*> srcs(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    srcs[k] = buf.data() + (gathered ? n - 1 - k : k) * kBlock;
   }
-  EXPECT_THROW(a.view_blocks(1, 12, view), std::out_of_range);
-  EXPECT_THROW(a.view_blocks(1, 0, {}), std::out_of_range);
-  EXPECT_EQ(a.reads(1), 8u);  // rejected before any charge
+  return srcs;
+}
+
+/// Issues one write run over `buf` in either form: the contiguous
+/// write_blocks or the gathered one over run_sources(buf, true).
+IoResult write_run(DiskArray& a, int disk, std::int64_t block,
+                   std::span<const std::uint8_t> buf, bool gathered) {
+  if (!gathered) {
+    return a.write_blocks(disk, block,
+                          static_cast<std::int64_t>(buf.size() / kBlock), buf);
+  }
+  const std::vector<const std::uint8_t*> srcs = run_sources(buf, true);
+  return a.write_blocks(disk, block, srcs);
+}
+
+bool block_equals(const DiskArray& a, int disk, std::int64_t block,
+                  const std::uint8_t* want) {
+  const auto got = a.raw_block(disk, block);
+  return std::equal(got.begin(), got.end(), want);
+}
+
+/// Vectored DiskArray primitives: counter semantics and per-block fault
+/// behaviour of read_blocks, both write_blocks forms (contiguous and
+/// gathered) and the borrowed view_blocks.
+TEST(VectoredIo, CountsBlocksButOneRun) {
+  for (const bool gathered : {false, true}) {
+    SCOPED_TRACE(gathered ? "gathered" : "contiguous");
+    DiskArray a(2, 16, kBlock);
+    Buffer buf(8 * kBlock);
+    Rng(3).fill(buf.data(), buf.size());
+    EXPECT_TRUE(write_run(a, 0, 2, buf.span(), gathered).ok());
+    EXPECT_EQ(a.writes(0), 8u);
+    EXPECT_EQ(a.write_runs(0), 1u);
+    EXPECT_EQ(a.write_bytes(0), 8 * kBlock);
+    const auto srcs = run_sources(buf.span(), gathered);
+    for (std::size_t k = 0; k < srcs.size(); ++k) {
+      EXPECT_TRUE(block_equals(a, 0, 2 + static_cast<std::int64_t>(k),
+                               srcs[k]))
+          << k;
+    }
+    EXPECT_TRUE(a.read_blocks(0, 2, 8, buf.span()).ok());
+    EXPECT_EQ(a.reads(0), 8u);
+    EXPECT_EQ(a.read_runs(0), 1u);
+    // Single-block ops count one run each.
+    Buffer one(kBlock);
+    a.read_block(0, 0, one.span());
+    EXPECT_EQ(a.read_runs(0), 2u);
+    EXPECT_EQ(a.total_read_runs(), 2u);
+    // Bounds are rejected before any transfer.
+    EXPECT_THROW(a.read_blocks(0, 12, 8, buf.span()), std::out_of_range);
+    EXPECT_THROW(a.read_blocks(0, 0, 0, buf.span().subspan(0, 0)),
+                 std::out_of_range);
+    EXPECT_THROW(a.read_blocks(0, 0, 4, buf.span()), std::invalid_argument);
+    EXPECT_THROW(write_run(a, 0, 12, buf.span(), gathered), std::out_of_range);
+    EXPECT_THROW(write_run(a, 0, 0, buf.span().first(0), gathered),
+                 std::out_of_range);
+    EXPECT_EQ(a.writes(0), 8u);  // rejected before any charge
+    // A borrowed run counts exactly like read_blocks and lends the
+    // stored images in place.
+    std::vector<const std::uint8_t*> view(8);
+    EXPECT_TRUE(a.view_blocks(1, 2, view).ok());
+    EXPECT_EQ(a.reads(1), 8u);
+    EXPECT_EQ(a.read_runs(1), 1u);
+    EXPECT_EQ(a.read_bytes(1), 8 * kBlock);
+    EXPECT_EQ(a.read_bytes(0), 9 * kBlock);
+    const auto raw = a.raw_blocks(1, 2, 8);
+    for (std::size_t k = 0; k < view.size(); ++k) {
+      EXPECT_EQ(view[k], raw.data() + k * kBlock) << k;
+    }
+    EXPECT_THROW(a.view_blocks(1, 12, view), std::out_of_range);
+    EXPECT_THROW(a.view_blocks(1, 0, {}), std::out_of_range);
+    EXPECT_EQ(a.reads(1), 8u);  // rejected before any charge
+  }
 }
 
 TEST(VectoredIo, BadBlockAbortsRunAtItsCoordinates) {
@@ -329,53 +376,164 @@ TEST(VectoredIo, BadBlockAbortsRunAtItsCoordinates) {
   for (std::size_t k = 0; k < view.size(); ++k) {
     EXPECT_EQ(view[k], k < 3 ? raw.data() + k * kBlock : nullptr) << k;
   }
+
+  // A write run over the bad block remaps it, in either form; a
+  // partial range write does not.
+  for (const bool gathered : {false, true}) {
+    SCOPED_TRACE(gathered ? "gathered" : "contiguous");
+    DiskArray b(1, 16, kBlock);
+    b.set_fault_plan(plan);
+    EXPECT_TRUE(b.write_range(0, 5, 1, buf.span().first(8)).ok());
+    EXPECT_EQ(b.read_blocks(0, 2, 8, buf.span()).status,
+              IoStatus::kSectorError);
+    EXPECT_TRUE(write_run(b, 0, 4, buf.span().first(3 * kBlock), gathered)
+                    .ok());
+    EXPECT_TRUE(b.read_blocks(0, 2, 8, buf.span()).ok());
+  }
+
+  // A torn block ends a write run at its coordinates: the blocks before
+  // it are durable, it keeps only the first half of its new bytes, and
+  // the blocks after it are untouched.
+  for (const bool gathered : {false, true}) {
+    SCOPED_TRACE(gathered ? "gathered" : "contiguous");
+    DiskArray t(1, 16, kBlock);
+    FaultPlan torn;
+    torn.torn_write_rate = 0.25;
+    torn.seed = 5;
+    t.set_fault_plan(torn);
+    Buffer src(8 * kBlock);
+    Rng(9).fill(src.data(), src.size());
+    const auto srcs = run_sources(src.span(), gathered);
+    IoResult w;
+    for (int attempt = 0; attempt < 64; ++attempt) {
+      std::ranges::fill(t.raw_blocks(0, 0, 16), std::uint8_t{0xEE});
+      w = write_run(t, 0, 2, src.span(), gathered);
+      if (w.status == IoStatus::kTornWrite && w.block > 2) break;
+    }
+    ASSERT_EQ(w.status, IoStatus::kTornWrite);
+    ASSERT_GT(w.block, 2);
+    for (std::int64_t b = 2; b < 10; ++b) {
+      const auto got = t.raw_block(0, b);
+      const std::uint8_t* want = srcs[static_cast<std::size_t>(b - 2)];
+      if (b < w.block) {
+        EXPECT_TRUE(std::equal(got.begin(), got.end(), want)) << b;
+      } else if (b == w.block) {
+        EXPECT_TRUE(std::equal(got.begin(), got.begin() + kBlock / 2, want))
+            << b;
+        EXPECT_TRUE(std::all_of(got.begin() + kBlock / 2, got.end(),
+                                [](std::uint8_t x) { return x == 0xEE; }))
+            << b;
+      } else {
+        EXPECT_TRUE(std::ranges::all_of(
+            got, [](std::uint8_t x) { return x == 0xEE; }))
+            << b;
+      }
+    }
+  }
 }
 
 TEST(VectoredIo, FailAfterCrossesMidRun) {
-  DiskArray a(1, 16, kBlock);
-  FaultPlan plan;
-  plan.disk_failures.push_back({0, 4});  // fails after 4 counted I/Os
-  a.set_fault_plan(plan);
-  Buffer buf(8 * kBlock);
-  Rng rng(1);
-  rng.fill(buf.data(), buf.size());
-  const IoResult r = a.write_blocks(0, 0, 8, buf.span());
-  EXPECT_EQ(r.status, IoStatus::kDiskFailed);
-  EXPECT_EQ(r.block, 4);  // first block past the threshold
-  EXPECT_TRUE(a.disk_failed(0));
-  // The four blocks before the crossing were persisted.
-  for (std::int64_t b = 0; b < 4; ++b) {
-    const auto want = buf.block(static_cast<std::size_t>(b), kBlock);
-    const auto got = a.raw_block(0, b);
-    EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin())) << b;
-  }
-  // An already-failed disk transfers nothing, even mid-run.
-  const IoResult r2 = a.read_blocks(0, 0, 8, buf.span());
-  EXPECT_EQ(r2.status, IoStatus::kDiskFailed);
-  EXPECT_EQ(r2.block, 0);
-  // ...and lends nothing.
-  std::vector<const std::uint8_t*> view(8, nullptr);
-  const IoResult r3 = a.view_blocks(0, 0, view);
-  EXPECT_EQ(r3.status, IoStatus::kDiskFailed);
-  EXPECT_EQ(r3.block, 0);
-  EXPECT_TRUE(std::ranges::all_of(view, [](auto* q) { return q == nullptr; }));
+  for (const bool gathered : {false, true}) {
+    SCOPED_TRACE(gathered ? "gathered" : "contiguous");
+    DiskArray a(1, 16, kBlock);
+    FaultPlan plan;
+    plan.disk_failures.push_back({0, 4});  // fails after 4 counted I/Os
+    a.set_fault_plan(plan);
+    Buffer buf(8 * kBlock);
+    Rng rng(1);
+    rng.fill(buf.data(), buf.size());
+    const IoResult r = write_run(a, 0, 0, buf.span(), gathered);
+    EXPECT_EQ(r.status, IoStatus::kDiskFailed);
+    EXPECT_EQ(r.block, 4);  // first block past the threshold
+    EXPECT_TRUE(a.disk_failed(0));
+    EXPECT_EQ(a.writes(0), 8u);
+    // The four blocks before the crossing were persisted; the rest were
+    // not.
+    const auto srcs = run_sources(buf.span(), gathered);
+    for (std::int64_t b = 0; b < 8; ++b) {
+      const auto got = a.raw_block(0, b);
+      if (b < 4) {
+        EXPECT_TRUE(block_equals(a, 0, b, srcs[static_cast<std::size_t>(b)]))
+            << b;
+      } else {
+        EXPECT_TRUE(std::ranges::all_of(
+            got, [](std::uint8_t x) { return x == 0; }))
+            << b;
+      }
+    }
+    // An already-failed disk transfers nothing, even mid-run.
+    const IoResult r2 = a.read_blocks(0, 0, 8, buf.span());
+    EXPECT_EQ(r2.status, IoStatus::kDiskFailed);
+    EXPECT_EQ(r2.block, 0);
+    // ...and lends nothing.
+    std::vector<const std::uint8_t*> view(8, nullptr);
+    const IoResult r3 = a.view_blocks(0, 0, view);
+    EXPECT_EQ(r3.status, IoStatus::kDiskFailed);
+    EXPECT_EQ(r3.block, 0);
+    EXPECT_TRUE(
+        std::ranges::all_of(view, [](auto* q) { return q == nullptr; }));
 
-  // A borrowed run advances the fail_after ordinals by its length and
-  // crosses the threshold mid-run like a copying run.
-  DiskArray b(1, 16, kBlock);
-  plan.disk_failures = {{0, 10}};
-  b.set_fault_plan(plan);
-  EXPECT_TRUE(b.view_blocks(0, 0, std::span(view).first(6)).ok());
-  std::ranges::fill(view, nullptr);
-  const IoResult r4 = b.view_blocks(0, 6, view);
-  EXPECT_EQ(r4.status, IoStatus::kDiskFailed);
-  EXPECT_EQ(r4.block, 10);  // ordinals 6..9 survive, the 11th I/O fails
-  EXPECT_EQ(b.reads(0), 14u);
-  EXPECT_EQ(b.read_runs(0), 2u);
-  EXPECT_TRUE(b.disk_failed(0));
-  const auto raw = b.raw_blocks(0, 6, 8);
-  for (std::size_t k = 0; k < view.size(); ++k) {
-    EXPECT_EQ(view[k], k < 4 ? raw.data() + k * kBlock : nullptr) << k;
+    // A borrowed run advances the fail_after ordinals by its length and
+    // crosses the threshold mid-run like a copying run.
+    DiskArray b(1, 16, kBlock);
+    plan.disk_failures = {{0, 10}};
+    b.set_fault_plan(plan);
+    EXPECT_TRUE(b.view_blocks(0, 0, std::span(view).first(6)).ok());
+    std::ranges::fill(view, nullptr);
+    const IoResult r4 = b.view_blocks(0, 6, view);
+    EXPECT_EQ(r4.status, IoStatus::kDiskFailed);
+    EXPECT_EQ(r4.block, 10);  // ordinals 6..9 survive, the 11th I/O fails
+    EXPECT_EQ(b.reads(0), 14u);
+    EXPECT_EQ(b.read_runs(0), 2u);
+    EXPECT_TRUE(b.disk_failed(0));
+    const auto raw = b.raw_blocks(0, 6, 8);
+    for (std::size_t k = 0; k < view.size(); ++k) {
+      EXPECT_EQ(view[k], k < 4 ? raw.data() + k * kBlock : nullptr) << k;
+    }
+  }
+}
+
+/// Regression: the controller used to drop the result of a one-block
+/// write run, so a torn parity or data block of a one-block write was
+/// never rewritten and its stripe was left silently inconsistent (runs
+/// of two or more blocks were retried). Every run now writes through
+/// the same gathered run and rewrites a torn block with retries. The
+/// seed is the one the defect was reproduced with. A block still torn
+/// after RetryPolicy{}'s last attempt is not reported yet (the open
+/// error-contract item) and would fail this test; the seed was not
+/// chosen to avoid that.
+TEST(BatchPlanner, TornWritesAreRetriedForEveryRunLength) {
+  const auto oracle_code = make_code(CodeId::kCode56, 5);
+  const int rows = oracle_code->rows();
+  DiskArray array(oracle_code->cols(), 16LL * rows, kBlock);
+  ArrayController ctrl(array, make_code(CodeId::kCode56, 5));
+  FaultPlan plan;
+  plan.torn_write_rate = 0.05;
+  plan.seed = 7;
+  array.set_fault_plan(plan);
+  const std::int64_t n = ctrl.logical_blocks();
+  std::vector<std::uint8_t> mirror(static_cast<std::size_t>(n) * kBlock, 0);
+  Rng rng(7);
+  Buffer buf(2 * kBlock);
+  for (int i = 0; i < 1000; ++i) {
+    const std::int64_t count = 1 + i % 2;  // 500 one-block, 500 two-block
+    const auto l = static_cast<std::int64_t>(
+        rng.next_below(static_cast<std::uint64_t>(n - count + 1)));
+    const auto bytes = static_cast<std::size_t>(count) * kBlock;
+    rng.fill(buf.data(), bytes);
+    ctrl.write(l, count, buf.span().first(bytes));
+    std::copy_n(buf.data(), bytes,
+                mirror.begin() + static_cast<std::ptrdiff_t>(l) * kBlock);
+  }
+  EXPECT_GT(array.torn_writes(), 0u);
+  oracle::expect_stripes_encode_mirror(*oracle_code, array, mirror);
+  Buffer got(kBlock);
+  for (std::int64_t l = 0; l < n; ++l) {
+    ctrl.read(l, got.span());
+    EXPECT_TRUE(std::equal(got.span().begin(), got.span().end(),
+                           mirror.begin() + static_cast<std::ptrdiff_t>(l) *
+                                                kBlock))
+        << "logical " << l;
   }
 }
 

@@ -219,6 +219,42 @@ TEST(DegradedIo, XorChainReadFailsOnFailedSource) {
   EXPECT_EQ(r.disk, 1);
 }
 
+// A chain member with a sector error is retried on its own: the members
+// before it are read once, the ones after it not at all, and once the
+// block is remapped every member is read exactly once.
+TEST(DegradedIo, XorChainReadRetriesOnlyTheFaultingMember) {
+  DiskArray a(4, 2, kBlock);
+  std::ranges::fill(a.raw_block(0, 1), std::uint8_t{0x0F});
+  std::ranges::fill(a.raw_block(1, 1), std::uint8_t{0x30});
+  std::ranges::fill(a.raw_block(2, 1), std::uint8_t{0xC0});
+  FaultPlan plan;
+  plan.bad_blocks.push_back({.disk = 1, .block = 1});
+  a.set_fault_plan(plan);
+  const BlockAddr srcs[] = {{0, 1}, {1, 1}, {2, 1}};
+  std::vector<std::uint8_t> out(kBlock);
+  IoCounters c;
+  const IoResult r = xor_chain_read(a, srcs, out, fast_retry(), &c);
+  EXPECT_EQ(r.status, IoStatus::kSectorError);
+  EXPECT_EQ(r.disk, 1);
+  EXPECT_EQ(r.block, 1);
+  EXPECT_EQ(c.reads, 5u);
+  EXPECT_EQ(c.retries, 3u);
+  EXPECT_EQ(a.reads(0), 1u);
+  EXPECT_EQ(a.reads(1), 4u);
+  EXPECT_EQ(a.reads(2), 0u);
+  EXPECT_EQ(a.read_runs(1), 4u);
+
+  const std::vector<std::uint8_t> fill(kBlock, 0x30);
+  ASSERT_TRUE(a.write_block(1, 1, fill).ok());  // remaps the bad block
+  IoCounters c2;
+  EXPECT_TRUE(xor_chain_read(a, srcs, out, fast_retry(), &c2).ok());
+  EXPECT_EQ(c2.reads, 3u);
+  EXPECT_EQ(c2.retries, 0u);
+  EXPECT_EQ(a.total_reads(), 8u);
+  EXPECT_TRUE(
+      std::ranges::all_of(out, [](std::uint8_t b) { return b == 0xFF; }));
+}
+
 TEST(Journal, EncodeDecodeRoundTrip) {
   const CheckpointRecord rec{.seq = 17, .groups_done = 123456789, .diag_rows = 4};
   const auto bytes = MigrationJournal::encode(rec);

@@ -388,20 +388,6 @@ TEST(Trace, RingKeepsMostRecentAndCountsDropped) {
   EXPECT_EQ(rec.dropped(), 0u);
 }
 
-TEST(Trace, ScopedSpanHonoursEnableFlag) {
-  obs::TraceRecorder& g = obs::TraceRecorder::global();
-  g.clear();
-  obs::set_trace_enabled(false);
-  { obs::ScopedSpan off("span_off"); }
-  obs::set_trace_enabled(true);
-  { obs::ScopedSpan on("span_on"); }
-  obs::set_trace_enabled(false);
-  const std::vector<obs::TraceSpan> spans = g.snapshot();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].name, "span_on");
-  g.clear();
-}
-
 TEST(Trace, ToJsonRendersChromeTraceEvents) {
   obs::TraceRecorder rec(8);
   obs::TraceSpan s;
