@@ -2,9 +2,8 @@
 // ways: one block per call ("per-block", the read-modify-write pair of
 // Table III's metric) versus batched ranged read/write calls. Measures MB/s
 // of logical payload and disk I/Os per block across sequential/random
-// patterns, block/row/stripe-sized requests, healthy and degraded
-// arrays, and with the write-through stripe cache off and on. Results
-// print as tables and land in BENCH_controller.json.
+// patterns, block/row/stripe-sized requests, and healthy and degraded
+// arrays. Results print as tables and land in BENCH_controller.json.
 //
 // Two throughputs per workload: the in-memory wall clock (planner +
 // memcpy cost; the array is RAM, so this is compute-bound), and a
@@ -16,9 +15,9 @@
 // per-column runs where one-block calls issue 6 discrete RMW requests
 // per block.
 //
-// The acceptance gate is the sequential full-stripe write, healthy,
-// cache off: the batched path must not be slower in memory AND must be
-// >= 3x on the device model. A second gate prices the observability
+// The acceptance gate is the sequential full-stripe write, healthy:
+// the batched path must not be slower in memory AND must be >= 3x on
+// the device model. A second gate prices the observability
 // layer in its shipped-default state: the same workload with a metrics
 // registry AND an event log attached (both disabled), a metrics
 // sampler constructed but never started, and an idle scrubber
@@ -65,7 +64,6 @@ struct Config {
   std::int64_t count;     // blocks per request
   const char* size_name;  // "block" | "row" | "stripe"
   bool degraded;          // one failed disk
-  bool cached;            // stripe cache sized to hold the whole array
 };
 
 struct Measurement {
@@ -107,9 +105,6 @@ class Bench {
     c56::mig::DiskArray array(code->cols(), stripes_ * code->rows(), kBlock);
     c56::mig::ArrayController ctrl(array, std::move(code));
     if (cfg.degraded) ctrl.fail_disk(1);
-    if (cfg.cached) {
-      ctrl.set_cache_stripes(static_cast<std::size_t>(stripes_));
-    }
     const std::int64_t logical = ctrl.logical_blocks();
     const std::int64_t chunks = logical / cfg.count;
     const std::size_t bytes = static_cast<std::size_t>(logical) * kBlock;
@@ -312,12 +307,6 @@ OverheadReport measure_metrics_overhead(std::int64_t stripes, int groups,
   return r;
 }
 
-std::string flags(const Config& c) {
-  std::string s = c.degraded ? "degraded" : "healthy";
-  s += c.cached ? "+cache" : "";
-  return s;
-}
-
 void json_side(std::ostringstream& json, const char* name,
                const Measurement& m) {
   json << "\"" << name << "\": {\"mbps\": " << m.mbps
@@ -331,8 +320,7 @@ void json_entry(std::ostringstream& json, const char* kind, const Config& c,
   json << "    {\"op\": \"" << kind << "\", \"pattern\": \""
        << (c.sequential ? "seq" : "rand") << "\", \"size\": \"" << c.size_name
        << "\", \"count\": " << c.count << ", \"degraded\": "
-       << (c.degraded ? "true" : "false") << ", \"cache\": "
-       << (c.cached ? "true" : "false") << ",\n     ";
+       << (c.degraded ? "true" : "false") << ",\n     ";
   json_side(json, "per_block", pb);
   json << ",\n     ";
   json_side(json, "batched", ba);
@@ -358,21 +346,18 @@ int main(int argc, char** argv) {
   code.reset();
 
   const std::vector<Config> write_cfgs = {
-      {true, 1, "block", false, false},
-      {true, row_cells, "row", false, false},
-      {true, per_stripe, "stripe", false, false},
-      {false, 1, "block", false, false},
-      {false, row_cells, "row", false, false},
-      {false, per_stripe, "stripe", false, false},
-      {true, 1, "block", true, false},
-      {true, per_stripe, "stripe", true, false},
-      {true, 1, "block", false, true},
-      {true, per_stripe, "stripe", false, true},
+      {true, 1, "block", false},
+      {true, row_cells, "row", false},
+      {true, per_stripe, "stripe", false},
+      {false, 1, "block", false},
+      {false, row_cells, "row", false},
+      {false, per_stripe, "stripe", false},
+      {true, 1, "block", true},
+      {true, per_stripe, "stripe", true},
   };
   const std::vector<Config> read_cfgs = {
-      {true, per_stripe, "stripe", false, false},
-      {true, per_stripe, "stripe", false, true},
-      {false, 1, "block", true, false},
+      {true, per_stripe, "stripe", false},
+      {false, 1, "block", true},
   };
 
   std::printf(
@@ -392,7 +377,8 @@ int main(int argc, char** argv) {
   Measurement gate_pb{}, gate_ba{};
   auto add_row = [&](const char* kind, const Config& c, const Measurement& pb,
                      const Measurement& ba) {
-    t.add_row({kind, c.sequential ? "seq" : "rand", c.size_name, flags(c),
+    t.add_row({kind, c.sequential ? "seq" : "rand", c.size_name,
+               c.degraded ? "degraded" : "healthy",
                c56::TextTable::fmt(pb.mbps, 1), c56::TextTable::fmt(ba.mbps, 1),
                c56::TextTable::fmt(pb.mbps > 0 ? ba.mbps / pb.mbps : 0, 2),
                c56::TextTable::fmt(
@@ -404,7 +390,7 @@ int main(int argc, char** argv) {
     const Config& c = write_cfgs[i];
     const Measurement pb = bench.run_write(c, /*batched=*/false);
     const Measurement ba = bench.run_write(c, /*batched=*/true);
-    if (c.sequential && c.count == per_stripe && !c.degraded && !c.cached) {
+    if (c.sequential && c.count == per_stripe && !c.degraded) {
       gate_pb = pb;
       gate_ba = ba;
     }
@@ -443,7 +429,7 @@ int main(int argc, char** argv) {
   const bool ov_pass = ov.ratio >= 0.98;
 
   json << "  ],\n  \"gate\": {\"workload\": \"seq full-stripe write, "
-          "healthy, cache off\", \"per_block_mbps\": "
+          "healthy\", \"per_block_mbps\": "
        << gate_pb.mbps << ", \"batched_mbps\": " << gate_ba.mbps
        << ", \"mem_speedup\": " << mem_speedup
        << ", \"per_block_device_mbps\": " << gate_pb.device_mbps

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "migration/degraded.hpp"
-#include "util/env.hpp"
 #include "xorblk/pool.hpp"
 #include "xorblk/xor.hpp"
 
@@ -117,17 +116,6 @@ ArrayController::ArrayController(DiskArray& array,
   for (const std::vector<Cell>& ps : by_data) {
     parities_cells_.insert(parities_cells_.end(), ps.begin(), ps.end());
     parities_offset_.push_back(static_cast<int>(parities_cells_.size()));
-  }
-
-  // Checked knob parsing: garbage keeps the default (off), negative or
-  // absurd sizes clamp instead of wrapping through strtoull. The cap is
-  // a sanity bound on cache stripes, not a recommendation. Shards are
-  // read first so an env-configured cache is built with them.
-  if (const auto v = util::env_int("C56_CACHE_SHARDS", 1, 4096)) {
-    cache_shards_ = static_cast<int>(*v);
-  }
-  if (const auto v = util::env_int("C56_CACHE_STRIPES", 0, 1 << 22)) {
-    if (*v > 0) set_cache_stripes(static_cast<std::size_t>(*v));
   }
 }
 
@@ -276,8 +264,8 @@ void ArrayController::read(std::int64_t logical, std::int64_t count,
       want.push_back({data_cells_[static_cast<std::size_t>(i0 + k)], k});
     }
     std::lock_guard sl(stripe_lock(l / per));
-    fetch_cells(l / per, want, out.data() + static_cast<std::size_t>(done) * bs,
-                /*use_cache=*/true);
+    fetch_cells(l / per, want,
+                out.data() + static_cast<std::size_t>(done) * bs);
     done += n;
   }
   if (obs_on) {
@@ -288,23 +276,18 @@ void ArrayController::read(std::int64_t logical, std::int64_t count,
 
 void ArrayController::fetch_cells(std::int64_t stripe,
                                   std::span<CellFetch> want,
-                                  std::uint8_t* dst_blocks, bool use_cache) {
+                                  std::uint8_t* dst_blocks) {
   const std::size_t bs = array_.block_bytes();
   const auto dst_of = [&](const CellFetch& cf) {
     return std::span<std::uint8_t>{
         dst_blocks + static_cast<std::size_t>(cf.dst) * bs, bs};
   };
-  // Cache hits and failed cells are served here; the disk reads left
-  // over are compacted to the front of `want`.
+  // Failed cells are reconstructed here; the disk reads left over are
+  // compacted to the front of `want`.
   std::size_t n = 0;
   for (const CellFetch& cf : want) {
-    if (use_cache && cache_ &&
-        cache_->lookup(stripe, flat_of(cf.cell), dst_of(cf))) {
-      continue;
-    }
     if (cell_failed(cf.cell)) {
       reconstruct_cell(stripe, cf.cell, dst_of(cf));
-      if (use_cache) cache_fill(stripe, cf.cell, dst_of(cf));
       continue;
     }
     want[n++] = cf;
@@ -332,7 +315,6 @@ void ArrayController::fetch_cells(std::int64_t stripe,
             nullptr);
         if (!rk.ok()) throw_io("read failed", rk);
       }
-      if (use_cache) cache_fill(stripe, run[k].cell, dst);
     }
   });
 }
@@ -413,21 +395,13 @@ void ArrayController::read_range(std::int64_t logical, std::int64_t offset,
   }
   const Locus l = locate(logical);
   const auto off = static_cast<std::size_t>(offset);
-  if (cache_) {
-    PooledBuffer tmp(bs);
-    if (cache_->lookup(l.stripe, flat_of(l.cell), tmp.span())) {
-      std::memcpy(out.data(), tmp.data() + off, out.size());
-      return;
-    }
-  }
   std::lock_guard sl(stripe_lock(l.stripe));
   if (cell_failed(l.cell)) {
     // Reconstruction is whole-block by nature (the XOR chains cover
-    // full blocks); slice the range and keep the full value cached.
+    // full blocks); slice the range.
     PooledBuffer tmp(bs);
     reconstruct_cell(l.stripe, l.cell, tmp.span());
     std::memcpy(out.data(), tmp.data() + off, out.size());
-    cache_fill(l.stripe, l.cell, tmp.span());
     return;
   }
   const IoResult r =
@@ -591,8 +565,7 @@ ArrayController::PlanStats ArrayController::write_stripe(
   // Pre-reads, all issued before the first write so a failed read
   // leaves the stripe untouched. Old data first: a partial cell always
   // needs its old bytes (they fill the gaps of its new image); a cell
-  // read over the whole block, served by the cache or reconstructed is
-  // known whole.
+  // read over the whole block or reconstructed is known whole.
   const auto read_range_or_throw = [&](Cell c, std::size_t lo, std::size_t hi,
                                        std::uint8_t* blk) {
     const IoResult r =
@@ -616,16 +589,14 @@ ArrayController::PlanStats ArrayController::write_stripe(
     t.old_full = true;
     if (t.lo == 0 && t.hi == bs) {
       s.fetch.push_back({c, static_cast<int>(k)});
-    } else if (!(cache_ && cache_->lookup(stripe, flat_of(c), oldb))) {
-      if (cell_failed(c)) {
-        reconstruct_cell(stripe, c, oldb);
-      } else {
-        t.old_full = false;
-        read_range_or_throw(c, t.lo, t.hi, oldb.data());
-      }
+    } else if (cell_failed(c)) {
+      reconstruct_cell(stripe, c, oldb);
+    } else {
+      t.old_full = false;
+      read_range_or_throw(c, t.lo, t.hi, oldb.data());
     }
   }
-  fetch_cells(stripe, s.fetch, olds, /*use_cache=*/true);
+  fetch_cells(stripe, s.fetch, olds);
 
   // New images: a cell written by one whole update is used in place;
   // any other is assembled from its old bytes and its updates in batch
@@ -683,7 +654,7 @@ ArrayController::PlanStats ArrayController::write_stripe(
       read_range_or_throw(pc, pr.lo, pr.hi, pbuf + k * bs);
     }
   }
-  fetch_cells(stripe, s.fetch, pbuf, /*use_cache=*/false);
+  fetch_cells(stripe, s.fetch, pbuf);
 
   // New parity values: a direct one accumulates its inputs' new images
   // in one pass; a read-modify-written one folds in parity ^= new ^ old
@@ -736,42 +707,15 @@ ArrayController::PlanStats ArrayController::write_stripe(
     if (!t.skip && !cell_failed(c)) put(c, t.src, t.lo, t.hi);
   }
   write_cells(stripe, s.wr);
-  // Write-through cache: only a cell whose whole new value is known may
-  // enter the cache — a partial image never does.
-  for (const Scratch::Touched& t : s.cells) {
-    if (t.covered || t.old_full) {
-      cache_fill(stripe, data_cells_[static_cast<std::size_t>(t.idx)],
-                 {t.src, bs});
-    }
-  }
   return st;
 }
 
 void ArrayController::set_cache_stripes(std::size_t n) {
-  cache_stripes_ = n;
-  if (n == 0) {
-    cache_.reset();
-    return;
+  if (n != 0) {
+    throw std::invalid_argument(
+        "set_cache_stripes: the controller has no stripe cache; only 0 is "
+        "accepted");
   }
-  cache_ = std::make_unique<StripeCache>(
-      n, code_->cell_count(), array_.block_bytes(),
-      static_cast<std::size_t>(cache_shards_));
-}
-
-void ArrayController::set_cache_shards(int n) {
-  if (n < 1 || n > 4096) {
-    throw std::invalid_argument("set_cache_shards: n must be in [1, 4096]");
-  }
-  cache_shards_ = n;
-  if (cache_) set_cache_stripes(cache_stripes_);  // rebuild (empty)
-}
-
-void ArrayController::invalidate_cache() {
-  if (cache_) cache_->invalidate_all();
-}
-
-StripeCache::Stats ArrayController::cache_stats() const {
-  return cache_ ? cache_->stats() : StripeCache::Stats{};
 }
 
 ArrayController::PlannerCounters ArrayController::planner_counters() const {
@@ -807,16 +751,6 @@ void ArrayController::attach_metrics(obs::Registry& registry,
       c.histogram(prefix + "_read_latency_us", read_latency_us_.snapshot());
       c.histogram(prefix + "_write_latency_us", write_latency_us_.snapshot());
     }
-    const StripeCache::Stats cs = cache_stats();
-    c.counter(prefix + "_cache_hits" + lb, cs.hits);
-    c.counter(prefix + "_cache_misses" + lb, cs.misses);
-    c.counter(prefix + "_cache_insertions" + lb, cs.insertions);
-    c.counter(prefix + "_cache_evictions" + lb, cs.evictions);
-    c.gauge(prefix + "_cache_stripes" + lb,
-            static_cast<std::int64_t>(cache_stripes_));
-    const std::uint64_t total = cs.hits + cs.misses;
-    c.gauge(prefix + "_cache_hit_ratio_pct" + lb,
-            total == 0 ? 0 : static_cast<std::int64_t>(cs.hits * 100 / total));
   });
 }
 
@@ -836,11 +770,6 @@ void ArrayController::emit_event(obs::EventLevel level, std::string message,
   }
 }
 
-void ArrayController::invalidate_recovery_state() {
-  recipes_valid_ = false;
-  invalidate_cache();
-}
-
 void ArrayController::fail_disk(int disk) {
   if (disk < 0 || disk >= array_.disks()) {
     throw std::out_of_range("fail_disk: no such disk");
@@ -850,10 +779,10 @@ void ArrayController::fail_disk(int disk) {
     throw std::runtime_error("fail_disk: fault tolerance exceeded");
   }
   failed_.insert(disk);
-  invalidate_recovery_state();
+  recipes_valid_ = false;
   emit_event(obs::EventLevel::kWarn,
              "disk " + std::to_string(disk) +
-                 " failed; recovery recipes and cache invalidated (" +
+                 " failed; recovery recipes invalidated (" +
                  std::to_string(failed_.size()) + " concurrent)",
              disk);
 }
@@ -888,10 +817,8 @@ std::int64_t ArrayController::rebuild_disk(int disk) {
     write_cells(s, wr);
   }
   failed_.erase(disk);
-  // The rebuild both changes the recovery recipes for any later failure
-  // and rewrites the array underneath previously cached logical values
-  // of this column — drop both.
-  invalidate_recovery_state();
+  // The recovery recipes were solved for the old failure set.
+  recipes_valid_ = false;
   emit_event(obs::EventLevel::kInfo,
              "disk " + std::to_string(disk) + " rebuilt: " +
                  std::to_string(rebuilt) + " blocks reconstructed",

@@ -47,12 +47,10 @@
 // write(l, full_block). Reads have one path as well: read(l, out) is
 // read(l, 1, out).
 //
-// An optional write-through stripe cache (set_cache_stripes() or
-// C56_CACHE_STRIPES, default off) caches *data* cells at their current
-// logical value: reads fill it, writes update it, so a hit never goes
-// to disk. fail_disk/rebuild_disk invalidate it wholesale; external
-// writers to the same DiskArray (e.g. an online-migration hand-off)
-// must call invalidate_cache().
+// There is no cache: every read and every pre-read goes to the disks,
+// so counted I/O is the paper's price, and a writer that bypasses this
+// controller (an online-migration hand-off, a scrub repair) leaves no
+// stale copy behind.
 
 #include <array>
 #include <cstdint>
@@ -65,7 +63,6 @@
 
 #include "codes/erasure_code.hpp"
 #include "migration/disk_array.hpp"
-#include "migration/stripe_cache.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 
@@ -125,24 +122,9 @@ class ArrayController {
   void set_subblock_delta(bool on) { subblock_delta_ = on; }
   bool subblock_delta() const { return subblock_delta_; }
 
-  /// Stripe cache control. n == 0 disables (the default, unless the
-  /// C56_CACHE_STRIPES environment variable set a size at construction
-  /// time). Resizing drops all cached contents.
+  /// Zero-only stub for perfbench (any other value throws
+  /// std::invalid_argument); it goes with the next benchmark change.
   void set_cache_stripes(std::size_t n);
-  std::size_t cache_stripes() const { return cache_stripes_; }
-  /// Lock shards of the stripe cache (default 8, or C56_CACHE_SHARDS
-  /// at construction time, clamped to [1, 4096]) — raise it when many
-  /// service worker threads hammer one cached volume. Takes effect on
-  /// the next set_cache_stripes(); calling this while a cache exists
-  /// rebuilds it empty. Throws std::invalid_argument outside the range.
-  void set_cache_shards(int n);
-  int cache_shards() const { return cache_shards_; }
-  /// Drop every cached block. Required after anything other than this
-  /// controller writes the underlying DiskArray (migration hand-off,
-  /// raw_block pokes, ...).
-  void invalidate_cache();
-  /// Zeroed stats when the cache is disabled.
-  StripeCache::Stats cache_stats() const;
 
   /// Ranged-planner decision counters, maintained only while
   /// obs::metrics_enabled() — they are the observability view of the
@@ -162,10 +144,9 @@ class ArrayController {
   };
   PlannerCounters planner_counters() const;
 
-  /// Export planner counters, ranged-I/O latency histograms
-  /// ({prefix}_read_latency_us / {prefix}_write_latency_us), and the
-  /// stripe-cache stats (plus a {prefix}_cache_hit_ratio_pct gauge)
-  /// through `registry` snapshots. Detaches on destruction.
+  /// Export planner counters and ranged-I/O latency histograms
+  /// ({prefix}_read_latency_us / {prefix}_write_latency_us) through
+  /// `registry` snapshots. Detaches on destruction.
   /// A non-empty `labels` block (e.g. `volume="3"`) is appended to
   /// every counter/gauge name so one registry can host many
   /// controllers; the latency histograms are skipped in that case —
@@ -207,7 +188,7 @@ class ArrayController {
   /// Cells of one stripe as a buffer + view. Contract: blocks are read
   /// *as stored* through the raw (uncounted, fault-free) backdoor —
   /// failed columns are NOT reconstructed, they return whatever stale
-  /// bytes the dead disk holds, and the stripe cache is bypassed.
+  /// bytes the dead disk holds.
   /// Callers that want the logical value of a failed cell must decode
   /// explicitly. read_stripe() allocates a fresh Buffer per call;
   /// loop-heavy callers (scrub, migrators) should call
@@ -240,7 +221,6 @@ class ArrayController {
   const std::vector<RecoveryRecipe>& recipes();
   void reconstruct_cell(std::int64_t stripe, Cell c,
                         std::span<std::uint8_t> out);
-  void invalidate_recovery_state();  // recipes + cache
 
   // The write planner (see header comment).
   struct PlanStats {  // what one stripe's plan did, for the counters
@@ -264,20 +244,15 @@ class ArrayController {
     Cell cell;
     int dst;  // block index inside the destination buffer
   };
-  /// Current logical values of the given cells (cache, then batched
-  /// disk reads, reconstructing failed cells). use_cache=false for
-  /// parity cells, which must never enter the data-cell cache.
+  /// Current values of the given cells: batched disk reads,
+  /// reconstructing failed cells.
   void fetch_cells(std::int64_t stripe, std::span<CellFetch> want,
-                   std::uint8_t* dst_blocks, bool use_cache);
+                   std::uint8_t* dst_blocks);
   struct CellWrite {
     Cell cell;
     const std::uint8_t* src;  // one block
   };
   void write_cells(std::int64_t stripe, std::span<CellWrite> w);
-  void cache_fill(std::int64_t stripe, Cell c,
-                  std::span<const std::uint8_t> v) {
-    if (cache_) cache_->fill(stripe, flat_of(c), v);
-  }
 
   /// Stripe-level writer/scrub exclusion, striped over a fixed pool of
   /// mutexes (two stripes may alias one mutex; callers only ever hold
@@ -310,10 +285,6 @@ class ArrayController {
   std::set<int> failed_;                // failed disk ids
   std::vector<RecoveryRecipe> recipes_; // for failed_ set
   bool recipes_valid_ = false;
-
-  std::unique_ptr<StripeCache> cache_;  // null when disabled
-  std::size_t cache_stripes_ = 0;
-  int cache_shards_ = 8;  // StripeCache's historical default
 
   bool subblock_delta_ = true;  // see set_subblock_delta
 

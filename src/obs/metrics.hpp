@@ -20,8 +20,8 @@
 // clocks, planner decision counts, pool aggregates) is gated behind
 // that single branch, so a disabled registry costs one predictable
 // branch and nothing else. Pre-existing accounting that callers rely
-// on (DiskArray I/O counters, StripeCache::Stats, OnlineStats) keeps
-// counting regardless of the switch.
+// on (DiskArray I/O counters, OnlineStats) keeps counting regardless
+// of the switch.
 //
 // snapshot() serializes everything — owned metrics plus collectors —
 // into a name-sorted Snapshot that the JSON and Prometheus-text

@@ -174,12 +174,8 @@ PassReport Scrubber::run_pass() {
         deferred_.inc();
         continue;
       }
-      const std::int64_t repaired_before = rep.repaired;
       ctrl_->with_stripe_lock(
           s, [&] { scan_locked(s, base, locator_.all_chains(), rep); });
-      // A repair bypassed the controller's write path; drop the cache
-      // rather than reason about which cells it might still mirror.
-      if (rep.repaired != repaired_before) ctrl_->invalidate_cache();
     } else {
       mig_->scrub_group(s, [&](mig::TrustDomain td) {
         if (td == mig::TrustDomain::kDeferred) {

@@ -53,7 +53,6 @@ std::vector<VolumeId> create_stream_volumes(VolumeManager& mgr,
   cfg.stripes = std::max<std::int64_t>((blocks + data_cells - 1) / data_cells,
                                        1);
   cfg.block_bytes = params.block_bytes;
-  cfg.cache_stripes = params.cache_stripes;
   std::vector<VolumeId> ids;
   ids.reserve(static_cast<std::size_t>(params.volumes));
   for (int v = 0; v < params.volumes; ++v) {

@@ -40,7 +40,6 @@ struct LoadParams {
   std::size_t block_bytes = 512;
   CodeId code = CodeId::kCode56;
   int p = 7;
-  std::size_t cache_stripes = 0;  // 0 = stripe cache off
   /// Mean arrival rate of each volume's Poisson schedule. Shapes the
   /// interleave only — submission is open-loop (no pacing).
   double iops = 20000.0;

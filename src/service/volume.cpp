@@ -63,10 +63,13 @@ Volume::Volume(VolumeId id, const Config& cfg) : id_(id), owner_(cfg.owner) {
   if (cfg.stripes < 1) {
     throw std::invalid_argument("Volume: stripes must be >= 1");
   }
+  if (cfg.cache_stripes != 0) {
+    throw std::invalid_argument("Volume: there is no stripe cache; "
+                                "cache_stripes must be 0");
+  }
   array_ = std::make_unique<mig::DiskArray>(
       physical_disks(*code), cfg.stripes * code->rows(), cfg.block_bytes);
   ctrl_ = std::make_unique<mig::ArrayController>(*array_, std::move(code));
-  if (cfg.cache_stripes != 0) ctrl_->set_cache_stripes(cfg.cache_stripes);
   logical_blocks_ = ctrl_->logical_blocks();
 }
 

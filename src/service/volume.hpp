@@ -71,7 +71,8 @@ class Volume {
     int p = 5;
     std::int64_t stripes = 8;
     std::size_t block_bytes = 4096;
-    std::size_t cache_stripes = 0;  // 0 = stripe cache off
+    // Zero-only stub for perfbench; goes with the next benchmark change.
+    std::size_t cache_stripes = 0;
     TenantId owner = 0;
   };
 

@@ -1,9 +1,8 @@
 #pragma once
 // Checked environment-knob parsing. Every tunable the library reads
-// from the environment (C56_CONVERT_WORKERS, C56_CACHE_STRIPES,
-// C56_XOR_KERNEL, ...) goes through here so garbage, negative, or
-// overflowing values cannot silently become 0, wrap, or hit undefined
-// behaviour in atoi. Invalid input warns once per variable per process
+// from the environment (C56_CONVERT_WORKERS, C56_XOR_KERNEL, ...) goes
+// through here so garbage, negative, or overflowing values cannot
+// silently become 0, wrap, or hit undefined behaviour in atoi. Invalid input warns once per variable per process
 // on stderr and falls back to the caller's default; numeric input
 // outside the sane range is clamped to the nearer bound (also with a
 // one-shot warning).

@@ -22,7 +22,6 @@
 #include "migration/journal.hpp"
 #include "migration/monitor.hpp"
 #include "migration/online.hpp"
-#include "migration/stripe_cache.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
@@ -311,74 +310,14 @@ TEST(OnlineStress, PartialWritersScrubberRaceFourWorkerConversion) {
   EXPECT_GT(mig.stats().app_writes, 0u);
 }
 
-TEST(OnlineStress, StripeCacheConcurrentWritersReadersInvalidator) {
-  // Hammer the sharded cache directly: writers fill canonical
-  // per-(stripe, cell) patterns, readers check that any hit returns an
-  // exact canonical block (a torn fill — half old, half new — can never
-  // be observed), and an invalidator keeps the LRU lists churning. The
-  // canonical pattern makes every byte self-identifying, so TSan and
-  // the content check together cover both the locking and the copies.
-  constexpr int kStripesTotal = 32;
-  constexpr int kCells = 16;
-  StripeCache cache(8, kCells, kBlock, /*shards=*/4);
-  const auto canonical = [](std::int64_t stripe, int cell) {
-    Buffer b(kBlock);
-    for (std::size_t i = 0; i < kBlock; ++i) {
-      b.data()[i] = static_cast<std::uint8_t>(stripe * 31 + cell * 7 + 1);
-    }
-    return b;
-  };
-  std::vector<std::thread> threads;
-  for (int w = 0; w < 4; ++w) {
-    threads.emplace_back([&, w] {
-      Rng rng(0xF111 + static_cast<std::uint64_t>(w));
-      for (int i = 0; i < 4000; ++i) {
-        const auto s = static_cast<std::int64_t>(rng.next_below(kStripesTotal));
-        const auto c = static_cast<int>(rng.next_below(kCells));
-        cache.fill(s, c, canonical(s, c).span());
-      }
-    });
-  }
-  for (int r = 0; r < 3; ++r) {
-    threads.emplace_back([&, r] {
-      Rng rng(0x2EAD + static_cast<std::uint64_t>(r));
-      Buffer got(kBlock);
-      for (int i = 0; i < 4000; ++i) {
-        const auto s = static_cast<std::int64_t>(rng.next_below(kStripesTotal));
-        const auto c = static_cast<int>(rng.next_below(kCells));
-        if (cache.lookup(s, c, got.span())) {
-          EXPECT_TRUE(got == canonical(s, c))
-              << "torn block at stripe " << s << " cell " << c;
-        }
-      }
-    });
-  }
-  threads.emplace_back([&] {
-    Rng rng(0x1BAD);
-    for (int i = 0; i < 2000; ++i) {
-      if (rng.next_below(64) == 0) {
-        cache.invalidate_all();
-      } else {
-        cache.invalidate(static_cast<std::int64_t>(
-            rng.next_below(kStripesTotal)));
-      }
-    }
-  });
-  for (std::thread& t : threads) t.join();
-  const auto st = cache.stats();
-  EXPECT_GT(st.insertions, 0u);
-  EXPECT_GT(st.hits + st.misses, 0u);
-}
-
-TEST(OnlineStress, CachedControllerConcurrentDisjointWriters) {
+TEST(OnlineStress, ControllerConcurrentDisjointWriters) {
   // The controller itself is documented single-writer per cell, but
-  // disjoint-stripe writers through one shared cache-enabled controller
-  // must neither corrupt the array nor poison each other's cache lines.
+  // disjoint-stripe writers through one shared controller must neither
+  // corrupt the array nor read each other's stale blocks.
   auto code = make_code(CodeId::kCode56, 5);
   const std::int64_t stripes = 8;
   DiskArray array(code->cols(), stripes * code->rows(), kBlock);
   ArrayController ctrl(array, std::move(code));
-  ctrl.set_cache_stripes(4);
   const std::int64_t per_stripe = ctrl.logical_blocks() / stripes;
   constexpr int kWriters = 4;
   std::vector<std::map<std::int64_t, Buffer>> models(kWriters);
@@ -387,9 +326,8 @@ TEST(OnlineStress, CachedControllerConcurrentDisjointWriters) {
     for (int w = 0; w < kWriters; ++w) {
       threads.emplace_back([&, w] {
         // Writer w owns stripes [w*2, w*2+2): ranged writes never cross
-        // into another writer's stripes, so per-stripe planner state
-        // (and the cache lines it fills) are contended only inside the
-        // cache, which is the part under test.
+        // into another writer's stripes, so what is shared is the
+        // controller itself (stripe locks, planner scratch, the array).
         const std::int64_t lo = w * 2 * per_stripe;
         const std::int64_t hi = lo + 2 * per_stripe;
         Rng rng(0xD15C + static_cast<std::uint64_t>(w));

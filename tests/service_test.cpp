@@ -503,9 +503,7 @@ TEST(ServiceStress, ShardsVolumesMigrationScrubQuiesceIdentical) {
   sc.shard_queue_cap = 1 << 12;
   svc::VolumeManager mgr(sc);
   for (int v = 0; v < kVolumes - 1; ++v) {
-    svc::Volume::Config vc = small_volume(kBlock, 2);
-    vc.cache_stripes = (v % 2 == 0) ? 4 : 0;  // exercise cached volumes
-    mgr.create_volume(vc);
+    mgr.create_volume(small_volume(kBlock, 2));
   }
   const svc::VolumeId mig_id = mgr.create_raid5_volume(5, 4, kBlock);
   mig::OnlineMigrator* mig = mgr.volume(mig_id)->migrator();

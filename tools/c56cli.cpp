@@ -307,8 +307,8 @@ int cmd_stats(int argc, char** argv) {
   // conversion with transient sector errors, torn writes and one
   // mid-stream disk death, application I/O racing the converter, a
   // rebuild of the dead disk, then a batched-controller phase over a
-  // cached Code 5-6 array. Everything is seeded, so two runs dump the
-  // same snapshot.
+  // Code 5-6 array. Everything is seeded, so two runs dump the same
+  // snapshot.
   const int p = 5, m = p - 1;
   const std::int64_t groups = 8;
   constexpr std::size_t kBlock = 512;
@@ -357,12 +357,11 @@ int cmd_stats(int argc, char** argv) {
   migrator.rebuild_failed_disks();
 
   // Batched-controller phase: full-stripe writes, a partial-stripe
-  // read-modify-write, and cached re-reads.
+  // read-modify-write, and a full read-back.
   auto code = make_code(CodeId::kCode56, p);
   const std::int64_t cstripes = 6;
   mig::DiskArray carray(code->cols(), cstripes * code->rows(), kBlock);
   mig::ArrayController ctrl(carray, std::move(code));
-  ctrl.set_cache_stripes(4);
   {
     std::vector<std::uint8_t> buf(
         static_cast<std::size_t>(ctrl.logical_blocks()) * kBlock, 0x5A);
@@ -370,8 +369,7 @@ int cmd_stats(int argc, char** argv) {
     rng.fill(buf.data(), buf.size());
     ctrl.write(0, ctrl.logical_blocks(), buf);         // full stripes
     ctrl.write(1, 3, {buf.data(), 3 * kBlock});        // partial stripe
-    ctrl.read(0, ctrl.logical_blocks(), buf);          // fills the cache
-    ctrl.read(0, 4, {buf.data(), 4 * kBlock});         // cache hits
+    ctrl.read(0, ctrl.logical_blocks(), buf);          // read-back
   }
 
   // Label each array/controller with the volume it played in the
