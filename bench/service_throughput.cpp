@@ -15,8 +15,13 @@
 // price the counted DiskArray I/O through sim::DiskParams, so the gate
 // is deterministic.
 //
-// Three exit-code gates, run by CI as --smoke:
-//   1. batching: deep-batch device throughput >= 2x max_batch=1.
+// The sweep runs twice: on Code 5-6 controller volumes and on
+// pre-start migrator (RAID-5) volumes of the same geometry, whose
+// requests reach the same batch executor through the migrator's gate.
+//
+// Four exit-code gates, run by CI as --smoke:
+//   1. batching: deep-batch device throughput >= 2x max_batch=1, on
+//      controller volumes and (1b) on migrator volumes.
 //   2. fan-out latency: aggregate p99 across 64 volumes (threaded, 4
 //      shards, admission-bounded) <= 3x the single-volume single-shard
 //      baseline p99 (noise-tolerant: retried up to 3 times).
@@ -55,14 +60,33 @@ struct ModeRow {
   svc::LoadStats stats;
 };
 
+/// create_stream_volumes' geometry as pre-start migrator (RAID-5)
+/// volumes: one stripe group per Code 5-6 stripe.
+void create_raid5_stream_volumes(svc::VolumeManager& mgr,
+                                 const svc::LoadParams& lp) {
+  const std::int64_t blocks = (lp.streams + lp.volumes - 1) / lp.volumes *
+                              lp.requests_per_stream;
+  const std::int64_t per_group = std::int64_t{lp.p - 1} * (lp.p - 2);
+  for (int v = 0; v < lp.volumes; ++v) {
+    mgr.create_raid5_volume(
+        lp.p, std::max<std::int64_t>((blocks + per_group - 1) / per_group, 1),
+        lp.block_bytes);
+  }
+}
+
 svc::LoadStats run_mode(const svc::LoadParams& lp, const svc::ServiceConfig& sc,
-                        std::string* metrics_json = nullptr) {
+                        std::string* metrics_json = nullptr,
+                        bool raid5 = false) {
   // The registry must outlive the manager: volume-level collectors
   // registered by attach_volume_metrics detach from their subsystems'
   // destructors.
   obs::Registry reg;
   svc::VolumeManager mgr(sc);
-  svc::create_stream_volumes(mgr, lp);
+  if (raid5) {
+    create_raid5_stream_volumes(mgr, lp);
+  } else {
+    svc::create_stream_volumes(mgr, lp);
+  }
   if (metrics_json) {
     mgr.attach_metrics(reg);
     mgr.attach_volume_metrics(reg);
@@ -142,18 +166,22 @@ int main(int argc, char** argv) {
   std::vector<ModeRow> rows;
   std::vector<svc::ServiceConfig> cfgs;
   auto add_mode = [&](const std::string& name, int max_batch,
-                      std::string* metrics = nullptr) {
+                      std::string* metrics = nullptr, bool raid5 = false) {
     svc::ServiceConfig sc = base;
     sc.max_batch = max_batch;
-    rows.push_back({name, run_mode(lp, sc, metrics)});
+    rows.push_back({name, run_mode(lp, sc, metrics, raid5)});
     cfgs.push_back(sc);
+    return rows.size() - 1;
   };
 
   std::string metrics_json;
-  add_mode("batch=1", 1);
+  const std::size_t b1 = add_mode("batch=1", 1);
   add_mode("batch=256", 256);
   if (!smoke) add_mode("batch=4096", 4096);
-  add_mode("saturated", 1 << 16, &metrics_json);
+  const std::size_t sat = add_mode("saturated", 1 << 16, &metrics_json);
+  const std::size_t r5_b1 = add_mode("raid5 batch=1", 1, nullptr, true);
+  const std::size_t r5_sat =
+      add_mode("raid5 saturated", 1 << 16, nullptr, true);
 
   TextTable t({"mode", "shards", "batch", "requests", "MB/s", "dev MB/s",
                "runs", "p99 us"});
@@ -167,8 +195,10 @@ int main(int argc, char** argv) {
                TextTable::fmt(rows[i].stats.p99_us, 0)});
   }
 
-  const svc::LoadStats& batch1 = rows.front().stats;
-  const svc::LoadStats& deep = rows.back().stats;
+  const svc::LoadStats& batch1 = rows[b1].stats;
+  const svc::LoadStats& deep = rows[sat].stats;
+  const svc::LoadStats& r5_batch1 = rows[r5_b1].stats;
+  const svc::LoadStats& r5_deep = rows[r5_sat].stats;
 
   // --- Threaded fan-out latency (admission-bounded queues) --------
   svc::ServiceConfig multi_cfg;
@@ -287,6 +317,12 @@ int main(int argc, char** argv) {
       batch1.device_mbps > 0 ? deep.device_mbps / batch1.device_mbps : 0;
   const bool batch_pass = batch_speedup >= 2.0 && deep.errors == 0 &&
                           batch1.errors == 0;
+  // Gate 1b: the same on migrator volumes.
+  const double r5_speedup = r5_batch1.device_mbps > 0
+                                ? r5_deep.device_mbps / r5_batch1.device_mbps
+                                : 0;
+  const bool r5_pass = r5_speedup >= 2.0 && r5_deep.errors == 0 &&
+                       r5_batch1.errors == 0;
 
   // Gate 2 (noise-tolerant): hosting 64 volumes must not blow up tail
   // latency versus serving one volume alone.
@@ -312,6 +348,13 @@ int main(int argc, char** argv) {
        << ", \"criteria\": \"deep batches >= 2x max_batch=1 on the device "
           "model\", \"pass\": "
        << (batch_pass ? "true" : "false") << "},\n"
+       << "    \"migrator_batch_speedup\": {\"batch1_device_mbps\": "
+       << r5_batch1.device_mbps
+       << ", \"deep_device_mbps\": " << r5_deep.device_mbps
+       << ", \"device_speedup\": " << r5_speedup
+       << ", \"criteria\": \"pre-start migrator volumes: deep batches >= 2x "
+          "max_batch=1 on the device model\", \"pass\": "
+       << (r5_pass ? "true" : "false") << "},\n"
        << "    \"p99_fanout\": {\"multi_p99_us\": " << multi.p99_us
        << ", \"single_p99_us\": " << single.p99_us
        << ", \"ratio\": " << p99_ratio
@@ -332,6 +375,11 @@ int main(int argc, char** argv) {
       batch1.device_mbps, deep.device_mbps, batch_speedup,
       batch_pass ? "PASS" : "FAIL");
   std::printf(
+      "migrator batching: device model %.3f -> %.3f MB/s (%.2fx, need >= "
+      "2.0) -> %s\n",
+      r5_batch1.device_mbps, r5_deep.device_mbps, r5_speedup,
+      r5_pass ? "PASS" : "FAIL");
+  std::printf(
       "fan-out p99: %.0f us over %.0f us baseline (%.2fx, need <= 3.0) -> "
       "%s\n",
       multi.p99_us, single.p99_us, p99_ratio, p99_pass ? "PASS" : "FAIL");
@@ -347,5 +395,5 @@ int main(int argc, char** argv) {
     std::printf("wrote BENCH_service.json (+ service_trace.json, "
                 "service_slow.json)\n");
   }
-  return batch_pass && p99_pass && overhead_pass ? 0 : 1;
+  return batch_pass && r5_pass && p99_pass && overhead_pass ? 0 : 1;
 }

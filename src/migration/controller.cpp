@@ -17,12 +17,9 @@ namespace c56::mig {
 
 namespace {
 
-[[noreturn]] void throw_io(const char* what, const IoResult& r) {
-  throw std::runtime_error(std::string("ArrayController: ") + what + " (" +
-                           to_string(r.status) + ") at disk " +
-                           std::to_string(r.disk) + " block " +
-                           std::to_string(r.block));
-}
+std::uint64_t bit(int col) { return std::uint64_t{1} << col; }
+
+const RetryPolicy kDefaultRetry{};
 
 // Calls fn on each maximal stretch of `cells` (sorted by column, then
 // row) that sits in one column on consecutive rows: one DiskArray run.
@@ -50,11 +47,18 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 ArrayController::ArrayController(DiskArray& array,
-                                 std::unique_ptr<ErasureCode> code)
+                                 std::unique_ptr<ErasureCode> code,
+                                 AbsentColumns absent,
+                                 const RetryPolicy* retry)
     : array_(array),
       code_(std::move(code)),
       rows_(code_->rows()),
-      cols_(code_->cols()) {
+      cols_(code_->cols()),
+      absent_(std::move(absent)),
+      retry_(retry ? retry : &kDefaultRetry) {
+  if (cols_ > 64) {
+    throw std::invalid_argument("ArrayController: at most 64 columns");
+  }
   virtual_cols_ = 0;
   for (int c = 0; c < code_->cols(); ++c) {
     bool all_virtual = true;
@@ -70,7 +74,9 @@ ArrayController::ArrayController(DiskArray& array,
       break;  // virtual columns are the leading ones (Fig. 8)
     }
   }
-  if (array_.disks() != code_->cols() - virtual_cols_) {
+  const int physical = code_->cols() - virtual_cols_;
+  if (array_.disks() != physical &&
+      !(absent_ && array_.disks() == physical - 1)) {
     throw std::invalid_argument(
         "ArrayController: disk count must match physical columns");
   }
@@ -130,11 +136,18 @@ ArrayController::Locus ArrayController::locate(std::int64_t logical) const {
           logical / per_stripe};
 }
 
-bool ArrayController::cell_failed(Cell c) const {
-  if (kind_[static_cast<std::size_t>(flat_of(c))] == CellKind::kVirtual) {
-    return false;
+ArrayController::Erased ArrayController::erased(std::int64_t stripe) const {
+  Erased e;
+  if (array_.failed_disks() > 0) {  // the healthy case is one load
+    for (int d = 0; d < array_.disks(); ++d) {
+      if (array_.disk_failed(d)) e.failed |= bit(col_of(d));
+    }
   }
-  return failed_.count(disk_of(c.col)) != 0;
+  if (const int d = rebuilding_.load(); d >= 0 && stripe >= rebuilt_.load()) {
+    e.failed |= bit(col_of(d));
+  }
+  e.cols = e.failed | (absent_ ? absent_(stripe) : 0);
+  return e;
 }
 
 std::span<const int> ArrayController::parity_inputs(int pflat) const {
@@ -153,43 +166,113 @@ std::span<const Cell> ArrayController::parities_of(int idx) const {
                                         parities_offset_[idx]));
 }
 
-const std::vector<RecoveryRecipe>& ArrayController::recipes() {
-  if (!recipes_valid_) {
+const std::vector<RecoveryRecipe>* ArrayController::recipes(
+    std::uint64_t ec) {
+  std::lock_guard lk(recipes_mu_);
+  auto [it, fresh] = recipes_.try_emplace(ec);
+  if (fresh) {
     std::vector<int> cols;
-    for (int d : failed_) cols.push_back(col_of(d));
-    auto solved = code_->solve_cells(code_->erased_cells_of_columns(cols));
-    if (!solved) {
-      throw std::runtime_error("failure pattern is not decodable");
+    for (int c = 0; c < cols_; ++c) {
+      if (ec & bit(c)) cols.push_back(c);
     }
-    recipes_ = std::move(*solved);
-    recipes_valid_ = true;
+    it->second = code_->solve_cells(code_->erased_cells_of_columns(cols));
   }
-  return recipes_;
+  return it->second ? &*it->second : nullptr;
 }
 
 void ArrayController::reconstruct_cell(std::int64_t stripe, Cell c,
-                                       std::span<std::uint8_t> out) {
+                                       std::span<std::uint8_t> out,
+                                       std::uint64_t ec, IoResult cause) {
   const int flat = flat_of(c);
-  const RecoveryRecipe* recipe = nullptr;
-  for (const RecoveryRecipe& r : recipes()) {
-    if (r.target == flat) {
-      recipe = &r;
-      break;
-    }
+  if (cause.ok()) {  // erased up front: its disk failed or is absent
+    cause = IoResult::fail(IoStatus::kDiskFailed, disk_of(c.col),
+                           block_of(stripe, c.row));
   }
-  assert(recipe != nullptr && "cell is not part of the failure set");
-  // One shared reconstruct-on-read path: the recipe's surviving chain
-  // members feed the same XOR kernel the online migrator degrades
-  // through (degraded.hpp).
+  ec |= bit(c.col);
   std::vector<BlockAddr> srcs;
-  srcs.reserve(recipe->sources.size());
-  for (int src : recipe->sources) {
-    const Cell sc = cell_of_index(src, code_->cols());
-    assert(!cell_failed(sc));
-    srcs.push_back({disk_of(sc.col), block_of(stripe, sc.row)});
+  for (;;) {
+    const std::vector<RecoveryRecipe>* rs = recipes(ec);
+    if (!rs) {
+      throw IoError("ArrayController: cell not reconstructible (" +
+                        to_string(cause) + ")",
+                    cause);
+    }
+    const auto recipe = std::ranges::find(*rs, flat, &RecoveryRecipe::target);
+    assert(recipe != rs->end() && "cell is not part of the erased set");
+    // One shared reconstruct-on-read path: the recipe's surviving chain
+    // members feed the XOR kernel of degraded.hpp.
+    srcs.clear();
+    for (int src : recipe->sources) {
+      const Cell sc = cell_of_index(src, cols_);
+      srcs.push_back({disk_of(sc.col), block_of(stripe, sc.row)});
+    }
+    IoCounters ic;
+    const IoResult r = xor_chain_read(array_, srcs, out, *retry_, &ic);
+    tally(ic);
+    if (r.ok()) {
+      reconstructed_reads_.inc();
+      return;
+    }
+    cause = r;  // that member's column is erased too: solve again
+    ec |= bit(col_of(r.disk));
   }
-  const IoResult r = xor_chain_read(array_, srcs, out, RetryPolicy{}, nullptr);
-  if (!r.ok()) throw_io("reconstruction read failed", r);
+}
+
+IoResult ArrayController::read_retry(int disk, std::int64_t block,
+                                     std::size_t offset,
+                                     std::span<std::uint8_t> out,
+                                     bool tried) {
+  IoCounters c;
+  const IoResult r = read_range_retry(array_, disk, block, offset, out,
+                                      policy(tried, c), &c);
+  tally(c);
+  return r;
+}
+
+IoResult ArrayController::write_retry(int disk, std::int64_t block,
+                                      std::size_t offset,
+                                      std::span<const std::uint8_t> in,
+                                      bool tried) {
+  IoCounters c;
+  const IoResult r = write_range_retry(array_, disk, block, offset, in,
+                                       policy(tried, c), &c);
+  tally(c);
+  return r;
+}
+
+RetryPolicy ArrayController::policy(bool tried, IoCounters& c) const {
+  RetryPolicy p = *retry_;
+  if (tried) {  // the failed run was the first attempt
+    --p.max_attempts;
+    ++c.retries;
+  }
+  return p;
+}
+
+void ArrayController::tally(const IoCounters& c) {
+  io_reads_.inc(c.reads);
+  io_writes_.inc(c.writes);
+  if (c.retries) io_retries_.inc(c.retries);
+  if (c.backoff_us) io_backoff_us_.inc(c.backoff_us);
+}
+
+void ArrayController::degraded(int disk, std::int64_t block,
+                               std::uint64_t n) {
+  degraded_writes_.inc(n);
+  if (events_) {
+    emit_event(obs::EventLevel::kWarn,
+               "degraded write: " + std::to_string(n) +
+                   " block(s) from disk " + std::to_string(disk) + " block " +
+                   std::to_string(block) + " not written",
+               disk, "degraded_write", block);
+  }
+}
+
+ArrayController::IoTally ArrayController::io_tally() const {
+  return {{io_reads_.value(), io_writes_.value(), io_retries_.value(),
+           io_backoff_us_.value()},
+          reconstructed_reads_.value(),
+          degraded_writes_.value()};
 }
 
 // Per-thread planner scratch: the vectors keep their capacity between
@@ -216,7 +299,7 @@ struct ArrayController::Scratch {
   };
   std::vector<SubWrite> ops;
   std::vector<int> slot_of;  // data idx -> index into cells, or -1
-  std::vector<int> pslot;    // flat cell -> index into pars, -1, -2 failed
+  std::vector<int> pslot;    // flat cell -> index into pars, -1, -2 erased
   std::vector<Touched> cells;
   std::vector<Par> pars;
   std::vector<CellFetch> fetch;
@@ -264,8 +347,8 @@ void ArrayController::read(std::int64_t logical, std::int64_t count,
       want.push_back({data_cells_[static_cast<std::size_t>(i0 + k)], k});
     }
     std::lock_guard sl(stripe_lock(l / per));
-    fetch_cells(l / per, want,
-                out.data() + static_cast<std::size_t>(done) * bs);
+    fetch_cells(l / per, want, out.data() + static_cast<std::size_t>(done) * bs,
+                erased(l / per).cols);
     done += n;
   }
   if (obs_on) {
@@ -276,18 +359,18 @@ void ArrayController::read(std::int64_t logical, std::int64_t count,
 
 void ArrayController::fetch_cells(std::int64_t stripe,
                                   std::span<CellFetch> want,
-                                  std::uint8_t* dst_blocks) {
+                                  std::uint8_t* dst_blocks, std::uint64_t ec) {
   const std::size_t bs = array_.block_bytes();
   const auto dst_of = [&](const CellFetch& cf) {
     return std::span<std::uint8_t>{
         dst_blocks + static_cast<std::size_t>(cf.dst) * bs, bs};
   };
-  // Failed cells are reconstructed here; the disk reads left over are
+  // Erased cells are reconstructed here; the disk reads left over are
   // compacted to the front of `want`.
   std::size_t n = 0;
   for (const CellFetch& cf : want) {
-    if (cell_failed(cf.cell)) {
-      reconstruct_cell(stripe, cf.cell, dst_of(cf));
+    if (in(ec, cf.cell)) {
+      reconstruct_cell(stripe, cf.cell, dst_of(cf), ec);
       continue;
     }
     want[n++] = cf;
@@ -301,20 +384,23 @@ void ArrayController::fetch_cells(std::int64_t stripe,
     const int d = disk_of(run[0].cell.col);
     const std::int64_t b0 = block_of(stripe, run[0].cell.row);
     view.resize(run.size());
+    io_reads_.inc(run.size());
     const IoResult r = array_.view_blocks(d, b0, view);
-    // A fault keeps the borrowed prefix and retries from its block on.
+    // A fault keeps the borrowed prefix; from its block on each block is
+    // retried (the run was the first attempt at the faulting one), then
+    // reconstructed.
     const std::size_t ok = r.ok() ? run.size()
                                   : static_cast<std::size_t>(r.block - b0);
     for (std::size_t k = 0; k < run.size(); ++k) {
       const auto dst = dst_of(run[k]);
       if (k < ok) {
         std::memcpy(dst.data(), view[k], bs);
-      } else {
-        const IoResult rk = read_block_retry(
-            array_, d, b0 + static_cast<std::int64_t>(k), dst, RetryPolicy{},
-            nullptr);
-        if (!rk.ok()) throw_io("read failed", rk);
+        continue;
       }
+      const IoResult rk =
+          read_retry(d, b0 + static_cast<std::int64_t>(k), 0, dst,
+                     k == ok && r.status == IoStatus::kSectorError);
+      if (!rk.ok()) reconstruct_cell(stripe, run[k].cell, dst, ec, rk);
     }
   });
 }
@@ -331,18 +417,23 @@ void ArrayController::write_cells(std::int64_t stripe,
     const std::int64_t b0 = block_of(stripe, run[0].cell.row);
     srcs.clear();
     for (const CellWrite& cw : run) srcs.push_back(cw.src);
+    io_writes_.inc(run.size());
     const IoResult r = array_.write_blocks(d, b0, srcs);
-    // A dead disk's blocks are dropped for fail_disk/rebuild. A torn
-    // block is repaired by a full rewrite: keep the persisted prefix
-    // and rewrite from the torn block on, each with retries.
-    if (r.status != IoStatus::kTornWrite) return;
-    for (auto b = r.block; b < b0 + static_cast<std::int64_t>(run.size());
-         ++b) {
-      const IoResult rb = write_block_retry(
-          array_, d, b, {srcs[static_cast<std::size_t>(b - b0)], bs},
-          RetryPolicy{}, nullptr);
-      if (rb.status == IoStatus::kDiskFailed) return;
+    if (r.ok()) return;
+    // A torn block is repaired by a full rewrite: keep the persisted
+    // prefix and rewrite from the torn block on, each with retries (the
+    // run was the torn block's first attempt). A block that still does
+    // not land, and every block from a disk death on, is degraded.
+    const std::int64_t end = b0 + static_cast<std::int64_t>(run.size());
+    std::int64_t b = r.block;
+    for (; r.status == IoStatus::kTornWrite && b < end; ++b) {
+      const IoResult rb =
+          write_retry(d, b, 0, {srcs[static_cast<std::size_t>(b - b0)], bs},
+                      b == r.block);
+      if (rb.status == IoStatus::kDiskFailed) break;
+      if (!rb.ok()) degraded(d, b);
     }
+    if (b < end) degraded(d, b, static_cast<std::uint64_t>(end - b));
   });
 }
 
@@ -396,19 +487,18 @@ void ArrayController::read_range(std::int64_t logical, std::int64_t offset,
   const Locus l = locate(logical);
   const auto off = static_cast<std::size_t>(offset);
   std::lock_guard sl(stripe_lock(l.stripe));
-  if (cell_failed(l.cell)) {
-    // Reconstruction is whole-block by nature (the XOR chains cover
-    // full blocks); slice the range.
-    PooledBuffer tmp(bs);
-    reconstruct_cell(l.stripe, l.cell, tmp.span());
-    std::memcpy(out.data(), tmp.data() + off, out.size());
-    return;
+  const std::uint64_t ec = erased(l.stripe).cols;
+  IoResult cause;
+  if (!in(ec, l.cell)) {
+    cause = read_retry(disk_of(l.cell.col), block_of(l.stripe, l.cell.row),
+                       off, out, false);
+    if (cause.ok()) return;
   }
-  const IoResult r =
-      read_range_retry(array_, disk_of(l.cell.col),
-                       block_of(l.stripe, l.cell.row), off, out,
-                       RetryPolicy{}, nullptr);
-  if (!r.ok()) throw_io("range read failed", r);
+  // Reconstruction is whole-block by nature (the XOR chains cover full
+  // blocks); slice the range.
+  PooledBuffer tmp(bs);
+  reconstruct_cell(l.stripe, l.cell, tmp.span(), ec, cause);
+  std::memcpy(out.data(), tmp.data() + off, out.size());
 }
 
 void ArrayController::write_range(std::int64_t logical, std::int64_t offset,
@@ -489,6 +579,7 @@ ArrayController::PlanStats ArrayController::write_stripe(
   const auto per = static_cast<std::int64_t>(data_cells_.size());
   Scratch& s = scratch();
   PlanStats st;
+  const Erased e = erased(stripe);
 
   // Touched cells in first-touch order: the hull of each one's byte
   // ranges, and whether one update covers it whole.
@@ -538,7 +629,7 @@ ArrayController::PlanStats ArrayController::write_stripe(
       const int pf = flat_of(pc);
       int& k = s.pslot[static_cast<std::size_t>(pf)];
       if (k != -1) continue;
-      if (cell_failed(pc)) {  // regenerated at rebuild time
+      if (in(e.cols, pc)) {  // regenerated by rebuild or the owner
         k = -2;
         continue;
       }
@@ -562,16 +653,16 @@ ArrayController::PlanStats ArrayController::write_stripe(
     }
   }
 
-  // Pre-reads, all issued before the first write so a failed read
-  // leaves the stripe untouched. Old data first: a partial cell always
-  // needs its old bytes (they fill the gaps of its new image); a cell
-  // read over the whole block or reconstructed is known whole.
-  const auto read_range_or_throw = [&](Cell c, std::size_t lo, std::size_t hi,
-                                       std::uint8_t* blk) {
-    const IoResult r =
-        read_range_retry(array_, disk_of(c.col), block_of(stripe, c.row), lo,
-                         {blk + lo, hi - lo}, RetryPolicy{}, nullptr);
-    if (!r.ok()) throw_io("range read failed", r);
+  // Pre-reads, all issued before the first write so a write that
+  // throws leaves the stripe untouched. Old data first: a partial cell
+  // always needs its old bytes (they fill the gaps of its new image); a
+  // cell read over the whole block or reconstructed is known whole. A
+  // range that stays unreadable is reconstructed with its whole block.
+  const auto read_part = [&](Cell c, std::size_t lo, std::size_t hi,
+                             std::uint8_t* blk) {
+    const IoResult r = read_retry(disk_of(c.col), block_of(stripe, c.row), lo,
+                                  {blk + lo, hi - lo}, false);
+    if (!r.ok()) reconstruct_cell(stripe, c, {blk, bs}, e.cols, r);
   };
   // One pooled arena: old images, new images, parity images.
   const std::size_t T = s.cells.size();
@@ -589,19 +680,20 @@ ArrayController::PlanStats ArrayController::write_stripe(
     t.old_full = true;
     if (t.lo == 0 && t.hi == bs) {
       s.fetch.push_back({c, static_cast<int>(k)});
-    } else if (cell_failed(c)) {
-      reconstruct_cell(stripe, c, oldb);
+    } else if (in(e.cols, c)) {
+      reconstruct_cell(stripe, c, oldb, e.cols);
     } else {
       t.old_full = false;
-      read_range_or_throw(c, t.lo, t.hi, oldb.data());
+      read_part(c, t.lo, t.hi, oldb.data());
     }
   }
-  fetch_cells(stripe, s.fetch, olds);
+  fetch_cells(stripe, s.fetch, olds, e.cols);
 
   // New images: a cell written by one whole update is used in place;
   // any other is assembled from its old bytes and its updates in batch
   // order. A cell whose new bytes equal the old ones is idempotent and
-  // dropped from every parity and write.
+  // dropped from every parity and write — except under an owner's
+  // AbsentColumns, whose writes all land (see the header).
   for (std::size_t k = 0; k < T; ++k) {
     Scratch::Touched& t = s.cells[k];
     if (t.covered && t.updates == 1) continue;
@@ -622,8 +714,8 @@ ArrayController::PlanStats ArrayController::write_stripe(
   }
   for (std::size_t k = 0; k < T; ++k) {
     Scratch::Touched& t = s.cells[k];
-    t.skip = t.need_old && std::memcmp(olds + k * bs + t.lo,
-                                       t.src + t.lo, t.hi - t.lo) == 0;
+    t.skip = !absent_ && t.need_old &&
+             std::memcmp(olds + k * bs + t.lo, t.src + t.lo, t.hi - t.lo) == 0;
   }
 
   // Each live parity updates the union of its live inputs' ranges (a
@@ -651,10 +743,10 @@ ArrayController::PlanStats ArrayController::write_stripe(
     if (pr.lo == 0 && pr.hi == bs) {
       s.fetch.push_back({pc, static_cast<int>(k)});
     } else {
-      read_range_or_throw(pc, pr.lo, pr.hi, pbuf + k * bs);
+      read_part(pc, pr.lo, pr.hi, pbuf + k * bs);
     }
   }
-  fetch_cells(stripe, s.fetch, pbuf);
+  fetch_cells(stripe, s.fetch, pbuf, e.cols);
 
   // New parity values: a direct one accumulates its inputs' new images
   // in one pass; a read-modify-written one folds in parity ^= new ^ old
@@ -683,17 +775,21 @@ ArrayController::PlanStats ArrayController::write_stripe(
   }
 
   // Writes: whole blocks batched into per-column runs, partial ranges
-  // one range write each. Write failures are not reported here: a torn
-  // write is repaired by its retry's rewrite, and a disk that died
-  // mid-request is left to the failure machinery (fail_disk/rebuild).
+  // one range write each. A write is not reported as failed: a block on
+  // a failed disk, or one that still does not land after retries, is a
+  // degraded write (write_cells tallies those of the runs).
   s.wr.clear();
+  const auto lose = [&](Cell c) {
+    degraded(disk_of(c.col), block_of(stripe, c.row));
+  };
   const auto put = [&](Cell c, const std::uint8_t* img, std::size_t lo,
                        std::size_t hi) {
     if (lo == 0 && hi == bs) {
       s.wr.push_back({c, img});
-    } else {
-      write_range_retry(array_, disk_of(c.col), block_of(stripe, c.row), lo,
-                        {img + lo, hi - lo}, RetryPolicy{}, nullptr);
+    } else if (!write_retry(disk_of(c.col), block_of(stripe, c.row), lo,
+                            {img + lo, hi - lo}, false)
+                    .ok()) {
+      lose(c);
     }
   };
   for (std::size_t k = 0; k < s.pars.size(); ++k) {
@@ -704,7 +800,19 @@ ArrayController::PlanStats ArrayController::write_stripe(
   }
   for (const Scratch::Touched& t : s.cells) {
     const Cell c = data_cells_[static_cast<std::size_t>(t.idx)];
-    if (!t.skip && !cell_failed(c)) put(c, t.src, t.lo, t.hi);
+    if (t.skip) continue;
+    for (Cell pc : parities_of(t.idx)) {  // each lost parity once
+      int& k = s.pslot[static_cast<std::size_t>(flat_of(pc))];
+      if (k == -2 && in(e.failed, pc)) {
+        k = -3;
+        lose(pc);
+      }
+    }
+    if (!in(e.cols, c)) {
+      put(c, t.src, t.lo, t.hi);
+    } else if (in(e.failed, c)) {
+      lose(c);
+    }
   }
   write_cells(stripe, s.wr);
   return st;
@@ -755,7 +863,8 @@ void ArrayController::attach_metrics(obs::Registry& registry,
 }
 
 void ArrayController::emit_event(obs::EventLevel level, std::string message,
-                                 int disk, const char* rate_key) const {
+                                 int disk, const char* rate_key,
+                                 std::int64_t block) const {
   obs::EventLog* log = events_;
   if (!log) return;
   obs::Event ev;
@@ -763,6 +872,7 @@ void ArrayController::emit_event(obs::EventLevel level, std::string message,
   ev.category = "controller";
   ev.message = std::move(message);
   ev.disk = disk;
+  ev.block = block;
   if (rate_key) {
     log->emit(std::move(ev), rate_key);
   } else {
@@ -774,27 +884,24 @@ void ArrayController::fail_disk(int disk) {
   if (disk < 0 || disk >= array_.disks()) {
     throw std::out_of_range("fail_disk: no such disk");
   }
-  if (failed_.count(disk)) return;
+  if (failed(disk)) return;
   if (failed_count() >= 2) {
     throw std::runtime_error("fail_disk: fault tolerance exceeded");
   }
-  failed_.insert(disk);
-  recipes_valid_ = false;
+  array_.fail_disk(disk);
   emit_event(obs::EventLevel::kWarn,
-             "disk " + std::to_string(disk) +
-                 " failed; recovery recipes invalidated (" +
-                 std::to_string(failed_.size()) + " concurrent)",
+             "disk " + std::to_string(disk) + " failed (" +
+                 std::to_string(failed_count()) + " concurrent)",
              disk);
 }
 
-bool ArrayController::failed(int disk) const {
-  return failed_.count(disk) != 0;
-}
-
 std::int64_t ArrayController::rebuild_disk(int disk) {
-  if (!failed_.count(disk)) {
+  if (disk < 0 || disk >= array_.disks() || !failed(disk)) {
     throw std::invalid_argument("rebuild_disk: disk is not failed");
   }
+  rebuilt_.store(0);
+  rebuilding_.store(disk);
+  array_.repair_disk(disk);
   const int col = col_of(disk);
   const int rows = code_->rows();
   const std::size_t bs = array_.block_bytes();
@@ -803,6 +910,7 @@ std::int64_t ArrayController::rebuild_disk(int disk) {
   std::vector<CellWrite> wr;
   for (std::int64_t s = 0; s < stripes_; ++s) {
     std::lock_guard sl(stripe_lock(s));
+    const std::uint64_t ec = erased(s).cols;
     wr.clear();
     for (int r = 0; r < rows; ++r) {
       const Cell c{r, col};
@@ -810,15 +918,14 @@ std::int64_t ArrayController::rebuild_disk(int disk) {
         continue;
       }
       const auto dst = colbuf.block(static_cast<std::size_t>(r), bs);
-      reconstruct_cell(s, c, dst);
+      reconstruct_cell(s, c, dst, ec);
       wr.push_back({c, dst.data()});
       ++rebuilt;
     }
     write_cells(s, wr);
+    rebuilt_.store(s + 1);
   }
-  failed_.erase(disk);
-  // The recovery recipes were solved for the old failure set.
-  recipes_valid_ = false;
+  rebuilding_.store(-1);
   emit_event(obs::EventLevel::kInfo,
              "disk " + std::to_string(disk) + " rebuilt: " +
                  std::to_string(rebuilt) + " blocks reconstructed",

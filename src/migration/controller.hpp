@@ -31,48 +31,82 @@
 //   * old values are read only for cells that feed a read-modify-write
 //     parity or that are partially written, idempotent cells are
 //     dropped, and every pre-read is issued before the first write, so
-//     a failed read leaves the stripe untouched. Whole-block cells move
-//     through one DiskArray run per per-column stretch, partial cells
-//     through range I/O. A read run is borrowed (view_blocks) and
-//     copied straight into its destination; a write run is gathered
-//     from the planner's source pointers. Every block moves once.
+//     a write that throws leaves the stripe untouched. Whole-block
+//     cells move through one DiskArray run per per-column stretch,
+//     partial cells through range I/O. A read run is borrowed
+//     (view_blocks) and copied straight into its destination; a write
+//     run is gathered from the planner's source pointers. Every block
+//     moves once.
 // A run that faults keeps its transferred prefix and continues block
-// by block through the retry helpers from the faulting block on: a
-// read that still fails throws, a torn block is rewritten with retries
-// (a one-block run exactly like a longer one), and a write to a dead
-// disk is dropped for the failure machinery (fail_disk/rebuild).
-// A one-block write therefore pays Table III's price — one
+// by block through the retry helpers from the faulting block on (the
+// run's failed attempt is the first of the owner's RetryPolicy): a
+// read that still fails is reconstructed like an erased cell, and a
+// torn block is rewritten with retries (a one-block run exactly like a
+// longer one). A one-block write therefore pays Table III's price — one
 // read-modify-write per affected parity, 6 I/Os for an optimal code —
 // and write_range(l, 0, full_block) is byte- and I/O-identical to
 // write(l, full_block). Reads have one path as well: read(l, out) is
 // read(l, 1, out).
 //
+// Failure model: each stripe operation erases the DiskArray's failed
+// disks plus the columns an owner's AbsentColumns callback names.
+// Erased cells are reconstructed through recovery recipes (solved once
+// per erased set) and never written; a block write that is skipped on a
+// failed disk or still fails after retries counts in
+// io_tally().degraded_writes, with a rate-limited warn event. A call
+// throws IoError, stripe untouched, only when a needed cell has no
+// recipe. The online migrator's application I/O runs here: an
+// unconverted group is a Code 5-6 stripe with its diagonal column
+// absent, whose horizontal chains are the RAID-5 row XOR.
+//
 // There is no cache: every read and every pre-read goes to the disks,
 // so counted I/O is the paper's price, and a writer that bypasses this
-// controller (an online-migration hand-off, a scrub repair) leaves no
+// controller (the migrator's conversion, a scrub repair) leaves no
 // stale copy behind.
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <map>
 #include <mutex>
+#include <optional>
 #include <span>
-#include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "codes/erasure_code.hpp"
+#include "migration/degraded.hpp"
 #include "migration/disk_array.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 
 namespace c56::mig {
 
+/// A needed cell could not be read or reconstructed (`result`).
+struct IoError : std::runtime_error {
+  IoError(const std::string& what, IoResult r)
+      : std::runtime_error(what), result(r) {}
+  IoResult result;
+};
+
 class ArrayController {
  public:
-  /// `array` must expose exactly code->cols() - virtual columns disks,
-  /// with blocks_per_disk a multiple of code->rows().
-  ArrayController(DiskArray& array, std::unique_ptr<ErasureCode> code);
+  /// Bit c set: column c of `stripe` is absent (e.g. a diagonal column
+  /// not generated yet). Called under the stripe lock once per stripe
+  /// operation. A controller with such an owner writes every block it
+  /// is given, idempotent or not, so its write price is data-blind.
+  using AbsentColumns = std::function<std::uint64_t(std::int64_t stripe)>;
+
+  /// `array` must expose code->cols() - virtual columns disks (with
+  /// `absent`, the last may be missing while `absent` names it), with
+  /// blocks_per_disk a multiple of code->rows(). `retry` (default
+  /// RetryPolicy{}) is the owner's policy, read at every use.
+  ArrayController(DiskArray& array, std::unique_ptr<ErasureCode> code,
+                  AbsentColumns absent = {},
+                  const RetryPolicy* retry = nullptr);
 
   const ErasureCode& code() const { return *code_; }
   std::int64_t stripes() const { return stripes_; }
@@ -163,13 +197,27 @@ class ArrayController {
   void attach_events(obs::EventLog& log) { events_ = &log; }
   void detach_events() { events_ = nullptr; }
 
-  /// Failure management. At most two concurrent failures (the code's
-  /// fault tolerance); fail_disk throws beyond that.
+  /// Counted device I/O this controller issued (always on), plus cells
+  /// served by reconstruction and block writes that did not land.
+  struct IoTally : IoCounters {
+    std::uint64_t reconstructed_reads = 0;
+    std::uint64_t degraded_writes = 0;
+  };
+  IoTally io_tally() const;
+
+  /// Failure management over the DiskArray's failed flags (a FaultPlan
+  /// disk death counts too). fail_disk throws beyond two failures.
   void fail_disk(int disk);
-  bool failed(int disk) const;
-  int failed_count() const { return static_cast<int>(failed_.size()); }
-  /// Reconstruct every block of a failed disk in place and mark it
-  /// healthy again. Returns blocks rebuilt.
+  bool failed(int disk) const {
+    return array_.disk_failed(disk) || rebuilding_.load() == disk;
+  }
+  int failed_count() const {
+    return array_.failed_disks() + (rebuilding_.load() >= 0 ? 1 : 0);
+  }
+  /// Repair a failed disk and rewrite its blocks from the other columns,
+  /// stripe by stripe under the stripe lock; until its stripe is
+  /// rewritten the disk still counts as failed, so concurrent I/O stays
+  /// correct. One rebuild at a time. Returns blocks rebuilt.
   std::int64_t rebuild_disk(int disk);
 
   /// Verify every stripe; returns the indices of inconsistent stripes.
@@ -211,16 +259,38 @@ class ArrayController {
     return stripe * rows_ + row;
   }
   int flat_of(Cell c) const { return c.row * cols_ + c.col; }
-  bool cell_failed(Cell c) const;
+  struct Erased {               // of one stripe operation, column bits
+    std::uint64_t cols = 0;    // absent or failed: never read or written
+    std::uint64_t failed = 0;  // failed subset: a skipped write is degraded
+  };
+  Erased erased(std::int64_t stripe) const;
+  bool in(std::uint64_t ec, Cell c) const {
+    return (ec >> c.col & 1) != 0 &&
+           kind_[static_cast<std::size_t>(flat_of(c))] != CellKind::kVirtual;
+  }
   /// Data indices of the expanded inputs of the parity at flat index
   /// `pflat`.
   std::span<const int> parity_inputs(int pflat) const;
   /// Parities fed by data cell index `idx` (CSR over flat arrays).
   std::span<const Cell> parities_of(int idx) const;
-  /// Recovery recipes for the current failure set (lazily solved).
-  const std::vector<RecoveryRecipe>& recipes();
+  /// Recovery recipes for the erased column set `ec`, solved once per
+  /// set; null when the set is not decodable.
+  const std::vector<RecoveryRecipe>* recipes(std::uint64_t ec);
+  /// Rebuild cell `c` with `ec` and c's column erased; a chain member
+  /// that fails to read erases its column too. Throws IoError(`cause`,
+  /// default c's disk, or the last failed read) when no recipe exists.
   void reconstruct_cell(std::int64_t stripe, Cell c,
-                        std::span<std::uint8_t> out);
+                        std::span<std::uint8_t> out, std::uint64_t ec,
+                        IoResult cause = {});
+  /// One block (or range) with the owner's retries. `tried`: a run
+  /// already failed on it, which counts as the first attempt.
+  IoResult read_retry(int disk, std::int64_t block, std::size_t offset,
+                      std::span<std::uint8_t> out, bool tried);
+  IoResult write_retry(int disk, std::int64_t block, std::size_t offset,
+                       std::span<const std::uint8_t> in, bool tried);
+  RetryPolicy policy(bool tried, IoCounters& c) const;
+  /// `n` block writes from (disk, block) on did not land.
+  void degraded(int disk, std::int64_t block, std::uint64_t n = 1);
 
   // The write planner (see header comment).
   struct PlanStats {  // what one stripe's plan did, for the counters
@@ -245,9 +315,9 @@ class ArrayController {
     int dst;  // block index inside the destination buffer
   };
   /// Current values of the given cells: batched disk reads,
-  /// reconstructing failed cells.
+  /// reconstructing erased and unreadable cells.
   void fetch_cells(std::int64_t stripe, std::span<CellFetch> want,
-                   std::uint8_t* dst_blocks);
+                   std::uint8_t* dst_blocks, std::uint64_t cols);
   struct CellWrite {
     Cell cell;
     const std::uint8_t* src;  // one block
@@ -257,7 +327,8 @@ class ArrayController {
   /// Stripe-level writer/scrub exclusion, striped over a fixed pool of
   /// mutexes (two stripes may alias one mutex; callers only ever hold
   /// one stripe lock at a time, so aliasing cannot deadlock). Leaf-ish:
-  /// only DiskArray's internal fault_mu_ ever nests inside it.
+  /// only DiskArray's fault_mu_, recipes_mu_ and the event log nest
+  /// inside it.
   std::mutex& stripe_lock(std::int64_t s) const {
     return stripe_locks_[static_cast<std::size_t>(s) % kStripeLockStripes];
   }
@@ -282,9 +353,23 @@ class ArrayController {
   std::vector<int> chain_begin_;       // flat parity -> index into offsets
                                        // (-1 for non-parity cells)
 
-  std::set<int> failed_;                // failed disk ids
-  std::vector<RecoveryRecipe> recipes_; // for failed_ set
-  bool recipes_valid_ = false;
+  AbsentColumns absent_;
+  const RetryPolicy* retry_;  // the owner's, or a default
+  // rebuild_disk's progress: stripes from rebuilt_ on still erase the
+  // disk being rebuilt (-1: none).
+  std::atomic<int> rebuilding_{-1};
+  std::atomic<std::int64_t> rebuilt_{0};
+
+  std::mutex recipes_mu_;  // recipes_ by erased set, never erased
+  std::map<std::uint64_t, std::optional<std::vector<RecoveryRecipe>>> recipes_;
+
+  obs::Counter io_reads_;  // io_tally(), always on
+  obs::Counter io_writes_;
+  obs::Counter io_retries_;
+  obs::Counter io_backoff_us_;
+  obs::Counter reconstructed_reads_;
+  obs::Counter degraded_writes_;
+  void tally(const IoCounters& c);
 
   bool subblock_delta_ = true;  // see set_subblock_delta
 
@@ -304,7 +389,8 @@ class ArrayController {
   /// No-op while no EventLog is attached; hot callers additionally
   /// guard on events_ && obs::events_enabled() before building text.
   void emit_event(obs::EventLevel level, std::string message, int disk = -1,
-                  const char* rate_key = nullptr) const;
+                  const char* rate_key = nullptr,
+                  std::int64_t block = -1) const;
   obs::EventLog* events_ = nullptr;
 
   obs::CollectorHandle metrics_handle_;

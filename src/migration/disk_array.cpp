@@ -23,6 +23,11 @@ const char* to_string(IoStatus s) noexcept {
   return "?";
 }
 
+std::string to_string(const IoResult& r) {
+  return std::string(to_string(r.status)) + " at disk " +
+         std::to_string(r.disk) + " block " + std::to_string(r.block);
+}
+
 DiskArray::DiskArray(int disks, std::int64_t blocks_per_disk,
                      std::size_t block_bytes)
     : blocks_per_disk_(blocks_per_disk), block_bytes_(block_bytes) {
@@ -129,7 +134,10 @@ void DiskArray::set_fault_plan(const FaultPlan& plan) {
 }
 
 void DiskArray::mark_failed(Disk& d) {
-  if (!d.failed.exchange(true)) disk_failure_events_.inc();
+  if (!d.failed.exchange(true)) {
+    disk_failure_events_.inc();
+    failed_count_.fetch_add(1);
+  }
 }
 
 void DiskArray::fail_disk(int disk) {
@@ -141,7 +149,7 @@ void DiskArray::repair_disk(int disk) {
   check(disk, 0);
   Disk& d = *disks_[static_cast<std::size_t>(disk)];
   d.fail_after.store(kNeverFails);
-  d.failed.store(false);
+  if (d.failed.exchange(false)) failed_count_.fetch_sub(1);
 }
 
 bool DiskArray::disk_failed(int disk) const {
@@ -150,9 +158,7 @@ bool DiskArray::disk_failed(int disk) const {
 }
 
 int DiskArray::failed_disks() const {
-  int n = 0;
-  for (const auto& d : disks_) n += d->failed.load();
-  return n;
+  return failed_count_.load();
 }
 
 bool DiskArray::roll(double rate) {

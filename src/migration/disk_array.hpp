@@ -196,6 +196,7 @@ class DiskArray {
 
   // Marks the disk failed, counting the event only on the transition.
   void mark_failed(Disk& d);
+  std::atomic<int> failed_count_{0};  // disks whose `failed` is set
   // Advances the disk's fail_after ordinals by a run of `count` blocks;
   // returns how many leading blocks of the run the disk survives (0 if
   // it was already failed).

@@ -8,6 +8,7 @@
 // (std::expected is C++23, so a small hand-rolled equivalent is used).
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace c56::mig {
@@ -36,6 +37,9 @@ struct IoResult {
     return {s, d, b};
   }
 };
+
+/// "<status> at disk D block B".
+std::string to_string(const IoResult& r);
 
 /// Scripted + probabilistic fault injection applied to counted I/O
 /// (raw_block stays an uninjected backdoor for test setup and

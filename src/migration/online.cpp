@@ -2,27 +2,16 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <vector>
 
-#include "layout/raid.hpp"
 #include "util/env.hpp"
 #include "util/prime.hpp"
 #include "xorblk/pool.hpp"
 #include "xorblk/xor.hpp"
 
 namespace c56::mig {
-
-namespace {
-
-std::string describe(const IoResult& r) {
-  return std::string(to_string(r.status)) + " at disk " +
-         std::to_string(r.disk) + " block " + std::to_string(r.block);
-}
-
-}  // namespace
 
 const char* to_string(MigrationState s) noexcept {
   switch (s) {
@@ -36,18 +25,6 @@ const char* to_string(MigrationState s) noexcept {
       return "done";
     case MigrationState::kAborted:
       return "aborted";
-  }
-  return "?";
-}
-
-const char* to_string(TrustDomain d) noexcept {
-  switch (d) {
-    case TrustDomain::kBothFamilies:
-      return "both-families";
-    case TrustDomain::kHorizontalOnly:
-      return "horizontal-only";
-    case TrustDomain::kDeferred:
-      return "deferred";
   }
   return "?";
 }
@@ -66,8 +43,15 @@ OnlineMigrator::OnlineMigrator(DiskArray& array, int p)
         "OnlineMigrator: blocks per disk must be a multiple of p-1");
   }
   groups_ = array.blocks_per_disk() / (p - 1);
-  rows_done_ =
-      std::make_unique<std::atomic<int>[]>(static_cast<std::size_t>(groups_));
+  converted_ =
+      std::make_unique<std::atomic<bool>[]>(static_cast<std::size_t>(groups_));
+  const std::uint64_t diagonal = std::uint64_t{1} << (p - 1);
+  ctrl_ = std::make_unique<ArrayController>(
+      array_, std::make_unique<Code56>(p),
+      [this, diagonal](std::int64_t g) {
+        return converted_[g].load(std::memory_order_acquire) ? 0 : diagonal;
+      },
+      &retry_);
   // Checked knob parsing: garbage keeps the default (1 worker),
   // negative/zero clamps to 1 and oversized requests clamp to the
   // 64-worker ceiling instead of overflowing through atoi.
@@ -83,23 +67,6 @@ OnlineMigrator::~OnlineMigrator() {
 
 std::int64_t OnlineMigrator::logical_blocks() const {
   return array_.blocks_per_disk() * (m_ - 1);
-}
-
-OnlineMigrator::Locus OnlineMigrator::locate(std::int64_t logical) const {
-  if (logical < 0 || logical >= logical_blocks()) {
-    throw std::out_of_range("OnlineMigrator: logical block " +
-                            std::to_string(logical) + " outside [0, " +
-                            std::to_string(logical_blocks()) + ")");
-  }
-  const std::int64_t stripe_row = logical / (m_ - 1);
-  const int k = static_cast<int>(logical % (m_ - 1));
-  Locus l;
-  l.block = stripe_row;
-  l.row = static_cast<int>(stripe_row % (code_.p() - 1));
-  l.group = static_cast<int>(stripe_row / (code_.p() - 1));
-  l.disk = raid5_data_disk(Raid5Flavor::kLeftAsymmetric,
-                           static_cast<int>(stripe_row % m_), k, m_);
-  return l;
 }
 
 void OnlineMigrator::attach_journal(CheckpointSink& sink) {
@@ -158,9 +125,8 @@ void OnlineMigrator::start() {
     new_disk_ = array_.add_disk(std::move(storage));  // Step 2
   }
   start_group_ = 0;
-  start_row_ = 0;
   groups_done_.store(0);
-  for (std::int64_t g = 0; g < groups_; ++g) rows_done_[g].store(0);
+  for (std::int64_t g = 0; g < groups_; ++g) converted_[g].store(false);
   if (journal_) {
     std::lock_guard pk(progress_mu_);
     journal_->record(0, 0);
@@ -191,7 +157,7 @@ void OnlineMigrator::resume() {
   if (new_disk_ < 0) new_disk_ = array_.add_disk(std::move(storage));
   const int p = code_.p();
   std::int64_t g = groups_done_.load();
-  int rows = g < groups_ ? rows_done_[g].load() : 0;
+  int rows = 0;  // diagonal rows a row-granular journal names in group g
   if (journal_) {
     if (const auto rec = journal_->recover()) {
       g = std::min(rec->groups_done, groups_);
@@ -204,7 +170,8 @@ void OnlineMigrator::resume() {
   // Re-verify before trusting the watermark: the last fully generated
   // group must match a recomputation (a torn new-disk write shows up
   // here), and so must the partial rows of the current group. Rewind to
-  // the first stale position; regeneration is idempotent.
+  // the first stale position. Group g is then regenerated whole
+  // (regeneration is idempotent), so its rows only inform the log.
   const std::int64_t journalled_g = g;
   const int journalled_rows = rows;
   if (g > 0 && g <= groups_) {
@@ -227,13 +194,10 @@ void OnlineMigrator::resume() {
                g);
   }
   start_group_ = g;
-  start_row_ = g < groups_ ? rows : 0;
   groups_done_.store(g);
   // Groups past the watermark may hold diagonals from a previous run;
   // they are regenerated (idempotently), so forget them.
-  for (std::int64_t i = 0; i < groups_; ++i) {
-    rows_done_[i].store(i < g ? p - 1 : (i == g ? start_row_ : 0));
-  }
+  for (std::int64_t i = 0; i < groups_; ++i) converted_[i].store(i < g);
   if (g >= groups_) {
     state_ = MigrationState::kDone;
     emit_event(obs::EventLevel::kInfo,
@@ -243,8 +207,7 @@ void OnlineMigrator::resume() {
   launch_locked();
   emit_event(obs::EventLevel::kInfo,
              "conversion resumed from journal: group " + std::to_string(g) +
-                 " row " + std::to_string(start_row_) + " of " +
-                 std::to_string(groups_) + " groups",
+                 " of " + std::to_string(groups_) + " groups",
              g);
 }
 
@@ -294,17 +257,10 @@ void OnlineMigrator::scrub_group(
                             std::to_string(group));
   }
   std::shared_lock ops(ops_mu_);
-  std::lock_guard gl(group_lock(group));
-  const int rows = rows_done_[group].load(std::memory_order_acquire);
-  TrustDomain td;
-  if (rows >= code_.p() - 1) {
-    td = TrustDomain::kBothFamilies;
-  } else if (rows == 0) {
-    td = TrustDomain::kHorizontalOnly;
-  } else {
-    td = TrustDomain::kDeferred;
-  }
-  fn(td);
+  ctrl_->with_stripe_lock(group, [&] {
+    fn(group < groups_done_.load() ? TrustDomain::kBothFamilies
+                                   : TrustDomain::kHorizontalOnly);
+  });
 }
 
 std::string OnlineMigrator::abort_reason() const {
@@ -326,30 +282,26 @@ void OnlineMigrator::abort_from_io(std::string reason) {
   cv_.notify_all();
 }
 
-void OnlineMigrator::account(const IoCounters& c, bool conversion,
-                             std::uint64_t degraded) {
+void OnlineMigrator::account(const IoCounters& c) {
   std::lock_guard sk(stats_mu_);
-  (conversion ? stats_.conv_reads : stats_.app_reads) += c.reads;
-  (conversion ? stats_.conv_writes : stats_.app_writes) += c.writes;
+  stats_.conv_reads += c.reads;
+  stats_.conv_writes += c.writes;
   stats_.retries += c.retries;
   stats_.backoff_us += c.backoff_us;
-  stats_.degraded_writes += degraded;
 }
 
 IoResult OnlineMigrator::read_source(int disk, std::int64_t block,
-                                     std::size_t offset,
                                      std::span<std::uint8_t> out,
-                                     IoCounters& c, bool conversion) {
+                                     IoCounters& c) {
   IoResult r = IoResult::fail(IoStatus::kDiskFailed, disk, block);
   if (!array_.disk_failed(disk)) {
-    r = read_range_retry(array_, disk, block, offset, out, retry_, &c);
+    r = read_block_retry(array_, disk, block, out, retry_, &c);
   }
   if (r.ok() || disk >= m_) return r;
   // Reconstruct through the RAID-5 horizontal parity: every row of the
   // source array XORs to zero, so the block is the XOR of the other m-1
   // blocks of its row (works for data and parity cells alike, and for
-  // hard sector errors as well as whole-disk loss). The row XOR covers
-  // whole blocks; only the range is kept.
+  // hard sector errors as well as whole-disk loss).
   std::vector<BlockAddr> srcs;
   srcs.reserve(static_cast<std::size_t>(m_ - 1));
   for (int d = 0; d < m_; ++d) {
@@ -357,19 +309,16 @@ IoResult OnlineMigrator::read_source(int disk, std::int64_t block,
     if (array_.disk_failed(d)) return r;
     srcs.push_back({d, block});
   }
-  PooledBuffer whole(array_.block_bytes());
-  r = xor_chain_read(array_, srcs, whole.span(), retry_, &c);
+  r = xor_chain_read(array_, srcs, out, retry_, &c);
   if (!r.ok()) return r;
-  std::memcpy(out.data(), whole.data() + offset, out.size());
   {
     std::lock_guard sk(stats_mu_);
     ++stats_.reconstructed_reads;
   }
   if (events_) {
     emit_event(obs::EventLevel::kWarn,
-               std::string("read served by parity reconstruction (") +
-                   (conversion ? "conversion" : "application") + " flow)",
-               -1, -1, disk, block, "reconstructed_read");
+               "read served by parity reconstruction (conversion flow)", -1,
+               -1, disk, block, "reconstructed_read");
   }
   return r;
 }
@@ -423,8 +372,7 @@ IoResult OnlineMigrator::fold_diags(std::int64_t group, int lo, int hi,
         if (!arena) arena.emplace(bs * view.size());
         const auto blk =
             arena->block(slot(r, j) + static_cast<std::size_t>(k), bs);
-        const IoResult res =
-            read_source(j, base + r + k, 0, blk, c, /*conversion=*/true);
+        const IoResult res = read_source(j, base + r + k, blk, c);
         if (!res.ok()) return res;
         run[static_cast<std::size_t>(k)] = blk.data();
       }
@@ -485,7 +433,7 @@ int OnlineMigrator::first_stale_diag(std::int64_t group, int upto) {
       ++i;
     }
   }
-  account(c, /*conversion=*/true);
+  account(c);
   return i;
 }
 
@@ -525,17 +473,12 @@ void OnlineMigrator::note_progress(std::int64_t group) {
   if (group == groups_done_.load() && journal_) journal_->record(group, p - 1);
   const std::int64_t old = groups_done_.load();
   std::int64_t wm = old;
-  while (wm < groups_ &&
-         rows_done_[wm].load(std::memory_order_acquire) == p - 1) {
+  while (wm < groups_ && converted_[wm].load(std::memory_order_acquire)) {
     ++wm;
   }
   if (wm == old) return;
   groups_done_.store(wm);
-  if (journal_) {
-    const int r =
-        wm < groups_ ? rows_done_[wm].load(std::memory_order_acquire) : 0;
-    journal_->record(wm, r);
-  }
+  if (journal_) journal_->record(wm, 0);
   if (events_ && obs::events_enabled()) {
     emit_event(obs::EventLevel::kDebug,
                "watermark advanced to group " + std::to_string(wm), wm, -1,
@@ -543,7 +486,7 @@ void OnlineMigrator::note_progress(std::int64_t group) {
   }
 }
 
-bool OnlineMigrator::convert_group(int w, std::int64_t g, int first_row) {
+bool OnlineMigrator::convert_group(int w, std::int64_t g) {
   const int p = code_.p();
   {
     std::unique_lock lk(mu_);
@@ -557,23 +500,24 @@ bool OnlineMigrator::convert_group(int w, std::int64_t g, int first_row) {
       return false;
     }
   }
+  IoCounters c;
+  IoResult res;
   {
     std::shared_lock ops(ops_mu_);
-    std::lock_guard gl(group_lock(g));
-    IoCounters c;
-    const IoResult res = generate_diags(g, first_row, p - 1, c);
-    account(c, /*conversion=*/true);
-    if (!res.ok()) {
-      abort_from_io("conversion cannot generate the diagonal column of "
-                    "group " +
-                    std::to_string(g) + ": " + describe(res));
-      return false;
-    }
-    rows_done_[g].store(p - 1, std::memory_order_release);
-    if (obs::metrics_enabled()) {
-      worker_rows_[static_cast<std::size_t>(w)].inc(
-          static_cast<std::uint64_t>(p - 1 - first_row));
-    }
+    ctrl_->with_stripe_lock(g, [&] {
+      res = generate_diags(g, 0, p - 1, c);
+      if (res.ok()) converted_[g].store(true, std::memory_order_release);
+    });
+  }
+  account(c);
+  if (!res.ok()) {
+    abort_from_io("conversion cannot generate the diagonal column of group " +
+                  std::to_string(g) + ": " + to_string(res));
+    return false;
+  }
+  if (obs::metrics_enabled()) {
+    worker_rows_[static_cast<std::size_t>(w)].inc(
+        static_cast<std::uint64_t>(p - 1));
   }
   note_progress(g);
   return true;
@@ -582,7 +526,7 @@ bool OnlineMigrator::convert_group(int w, std::int64_t g, int first_row) {
 void OnlineMigrator::conversion_worker(int w) {
   for (;;) {
     const std::int64_t g = claim_group(w);
-    if (g < 0 || !convert_group(w, g, g == start_group_ ? start_row_ : 0)) {
+    if (g < 0 || !convert_group(w, g)) {
       return;
     }
   }
@@ -608,166 +552,76 @@ void OnlineMigrator::worker_entry(int w) {
   }
 }
 
+IoResult OnlineMigrator::serve(
+    bool write, const std::function<void(ArrayController&)>& fn) {
+  // A pending writer preempts the conversion workers between groups
+  // (Algorithm 2, "interrupt the conversion thread"); they are woken
+  // once the write is out of the way (or bailed out).
+  if (write) pending_writers_.fetch_add(1);
+  struct Notifier {
+    OnlineMigrator* m;
+    ~Notifier() {
+      if (!m) return;
+      // pending_writers_ changes outside mu_: passing through mu_ first
+      // orders this wake-up after any worker's predicate check, so a
+      // worker that saw the write pending is already waiting for it.
+      { std::lock_guard lk(m->mu_); }
+      m->cv_.notify_all();
+    }
+  } notify{write ? this : nullptr};
+  std::shared_lock ops(ops_mu_);
+  if (write) {
+    pending_writers_.fetch_sub(1);
+    if (running_.load()) {
+      std::lock_guard sk(stats_mu_);
+      ++stats_.interruptions;
+    }
+  }
+  try {
+    fn(*ctrl_);
+    return IoResult::success();
+  } catch (const IoError& e) {
+    // A block the write needed is gone: mid-conversion this is the
+    // data-loss event Table VI prices, so the migration aborts.
+    if (write) {
+      abort_from_io("application write lost a block: " + to_string(e.result));
+    }
+    return e.result;
+  }
+}
+
 IoResult OnlineMigrator::read_block(std::int64_t logical,
                                     std::span<std::uint8_t> out) {
-  const Locus l = locate(logical);
-  std::shared_lock ops(ops_mu_);
-  std::lock_guard gl(group_lock(l.group));
-  IoCounters c;
-  const IoResult r = read_source(l.disk, l.block, 0, out, c, false);
-  account(c, /*conversion=*/false);
-  return r;
+  return serve(false, [&](ArrayController& c) { c.read(logical, 1, out); });
 }
 
 IoResult OnlineMigrator::write_block(std::int64_t logical,
                                      std::span<const std::uint8_t> in) {
-  return update(logical, 0, in);
+  return serve(true, [&](ArrayController& c) { c.write(logical, 1, in); });
 }
 
 IoResult OnlineMigrator::write_range(std::int64_t logical, std::size_t offset,
                                      std::span<const std::uint8_t> in) {
-  return update(logical, offset, in);
-}
-
-IoResult OnlineMigrator::update(std::int64_t logical, std::size_t offset,
-                                std::span<const std::uint8_t> in) {
-  const std::size_t bs = array_.block_bytes();
-  if (offset > bs || in.size() > bs - offset) {
-    throw std::out_of_range("OnlineMigrator: write range outside the block");
-  }
-  if (in.empty()) return IoResult::success();  // validated no-op
-  const Locus l = locate(logical);
-  const int p = code_.p();
-  // A pending writer preempts the conversion workers between groups
-  // (Algorithm 2, "interrupt the conversion thread"); they are woken
-  // once the write is out of the way (or bailed out).
-  pending_writers_.fetch_add(1);
-  struct Notifier {
-    OnlineMigrator& m;
-    ~Notifier() {
-      // pending_writers_ changes outside mu_: passing through mu_ first
-      // orders this wake-up after any worker's predicate check, so a
-      // worker that saw the write pending is already waiting for it.
-      { std::lock_guard lk(m.mu_); }
-      m.cv_.notify_all();
-    }
-  } notify{*this};
-  std::shared_lock ops(ops_mu_);
-  std::lock_guard gl(group_lock(l.group));
-  pending_writers_.fetch_sub(1);
-  if (running_.load()) {
-    std::lock_guard sk(stats_mu_);
-    ++stats_.interruptions;
-  }
-
-  // Every parity chain is bytewise, so only the range moves: each
-  // parity gets parity[offset, offset + len) ^= new ^ old.
-  IoCounters c;
-  std::uint64_t degraded = 0;
-  // Block-sized pool buffers (the pool buckets by exact size), used
-  // over the range only.
-  PooledBuffer old_buf(bs), par_buf(bs);
-  const std::span<std::uint8_t> old = old_buf.span().first(in.size());
-  const std::span<std::uint8_t> par = par_buf.span().first(in.size());
-  const IoResult oldr = read_source(l.disk, l.block, offset, old, c,
-                                    /*conversion=*/false);
-  if (!oldr.ok()) {
-    // The pre-image is gone: the write (and the block) cannot be kept
-    // consistent. Mid-conversion this is the data-loss event Table VI
-    // prices, so the migration aborts.
-    account(c, false);
-    abort_from_io("application write lost logical block " +
-                  std::to_string(logical) + ": " + describe(oldr));
-    return oldr;
-  }
-
-  // Horizontal parity: always maintained (it is the RAID-5 parity).
-  // read_source also recovers a latent sector error under the parity
-  // block itself (the row XOR reconstructs parity cells too).
-  const int hpar_disk = p - 2 - l.row;
-  bool parity_updated = false;
-  if (!array_.disk_failed(hpar_disk) &&
-      read_source(hpar_disk, l.block, offset, par, c, false).ok()) {
-    xor_delta_into(par, old, in);
-    parity_updated =
-        write_range_retry(array_, hpar_disk, l.block, offset, par, retry_, &c)
-            .ok();
-  }
-  if (!parity_updated) {
-    ++degraded;
-    if (events_) {
-      emit_event(obs::EventLevel::kWarn,
-                 "degraded write: horizontal parity not updated for logical "
-                 "block " +
-                     std::to_string(logical),
-                 l.group, -1, hpar_disk, l.block, "degraded_write");
-    }
-  }
-
-  // Data itself.
-  bool data_written = false;
-  if (!array_.disk_failed(l.disk)) {
-    data_written =
-        write_range_retry(array_, l.disk, l.block, offset, in, retry_, &c)
-            .ok();
-  } else {
-    ++degraded;
-  }
-  if (!data_written && !parity_updated) {
-    // Neither replica of the update is durable: unrecoverable.
-    account(c, false, degraded);
-    abort_from_io("application write lost logical block " +
-                  std::to_string(logical) + ": data and parity disks failed");
-    return IoResult::fail(IoStatus::kDiskFailed, l.disk, l.block);
-  }
-
-  // Diagonal parity: only if this block's diagonal chain is already on
-  // the new disk (otherwise the group's owner will fold the new value
-  // in). rows_done_ is read under the same group lock the owner stores
-  // it under, so the check cannot race a half-written diagonal. Every
-  // data cell is on exactly one diagonal chain, so diag_row is valid.
-  if (new_disk_ >= 0) {
-    const int diag_row = pmod(l.row + l.disk + 1, p);
-    if (rows_done_[l.group].load(std::memory_order_acquire) > diag_row) {
-      const std::int64_t db = l.group * (p - 1) + diag_row;
-      IoResult r = IoResult::fail(IoStatus::kDiskFailed, new_disk_, db);
-      if (!array_.disk_failed(new_disk_)) {
-        r = read_range_retry(array_, new_disk_, db, offset, par, retry_, &c);
-      }
-      bool diag_updated = false;
-      if (r.ok()) {
-        xor_delta_into(par, old, in);
-        diag_updated =
-            write_range_retry(array_, new_disk_, db, offset, par, retry_, &c)
-                .ok();
-      } else if (r.status == IoStatus::kSectorError) {
-        // The stored diagonal parity is unreadable: regenerate its
-        // whole chain from the (already updated) data. Counted as
-        // conversion I/O, which is what the regeneration is.
-        IoCounters rc;
-        diag_updated =
-            generate_diags(l.group, diag_row, diag_row + 1, rc).ok();
-        account(rc, /*conversion=*/true);
-      }
-      if (!diag_updated) {
-        ++degraded;
-        if (events_) {
-          emit_event(obs::EventLevel::kWarn,
-                     "degraded write: diagonal parity not updated for "
-                     "logical block " +
-                         std::to_string(logical),
-                     l.group, -1, new_disk_, db, "degraded_write");
-        }
-      }
-    }
-  }
-  account(c, false, degraded);
-  return IoResult::success();
+  const ArrayController::SubWrite w{logical, static_cast<std::int64_t>(offset),
+                                    in};
+  return serve(true, [&w](ArrayController& c) {
+    c.write_range(std::span<const ArrayController::SubWrite>(&w, 1));
+  });
 }
 
 OnlineStats OnlineMigrator::stats() const {
   std::lock_guard sk(stats_mu_);
-  return stats_;
+  OnlineStats s = stats_;
+  const ArrayController::IoTally t = ctrl_->io_tally();
+  s.app_reads = t.reads - rebuild_io_.reads;
+  s.app_writes = t.writes - rebuild_io_.writes;
+  s.conv_reads += rebuild_io_.reads;
+  s.conv_writes += rebuild_io_.writes;
+  s.retries += t.retries;
+  s.backoff_us += t.backoff_us;
+  s.reconstructed_reads += t.reconstructed_reads;
+  s.degraded_writes = t.degraded_writes;
+  return s;
 }
 
 void OnlineMigrator::attach_events(obs::EventLog& log,
@@ -778,6 +632,7 @@ void OnlineMigrator::attach_events(obs::EventLog& log,
   }
   events_ = &log;
   migration_id_ = std::move(migration_id);
+  ctrl_->attach_events(log);
 }
 
 void OnlineMigrator::emit_event(obs::EventLevel level, std::string message,
@@ -841,7 +696,6 @@ void OnlineMigrator::attach_metrics(obs::Registry& registry,
 
 std::int64_t OnlineMigrator::rebuild_failed_disks() {
   std::unique_lock ops(ops_mu_);  // exclude app I/O for the whole rebuild
-  std::lock_guard lk(mu_);
   if (running_.load()) {
     throw std::logic_error("rebuild_failed_disks: conversion still running");
   }
@@ -849,137 +703,31 @@ std::int64_t OnlineMigrator::rebuild_failed_disks() {
   for (int d = 0; d < array_.disks(); ++d) {
     if (array_.disk_failed(d)) failed.push_back(d);
   }
-  if (failed.empty()) return 0;
-  const int p = code_.p();
-  const std::size_t bs = array_.block_bytes();
+  // A lost source disk is its rows' XOR and the diagonal column a
+  // function of the data, in any state; two lost disks need both
+  // families in every group (Algorithm 1).
+  if (failed.size() > 2 ||
+      (failed.size() == 2 && state() != MigrationState::kDone)) {
+    throw std::runtime_error(
+        "rebuild_failed_disks: failure pattern exceeds what the current "
+        "migration state can reconstruct");
+  }
+  // The controller rewrites each disk stripe by stripe. Under the
+  // exclusive gate its tally's delta is exactly the rebuild's I/O,
+  // which stats() moves to the conversion columns.
+  const ArrayController::IoTally t0 = ctrl_->io_tally();
   std::int64_t rebuilt = 0;
-
-  if (failed.size() == 1 && failed[0] < m_) {
-    // Single source disk: every block is the XOR of its row mates.
-    // Rebuild in multi-block chunks — one borrowed run per surviving
-    // disk per chunk plus one run for the rewrite, falling back to the
-    // retrying per-block chain only when a chunk hits an injected fault.
-    const int d = failed[0];
-    array_.repair_disk(d);
-    constexpr std::int64_t kChunk = 64;
-    const std::int64_t total = array_.blocks_per_disk();
-    const auto nsrc = static_cast<std::size_t>(m_ - 1);
-    PooledBuffer out(static_cast<std::size_t>(kChunk) * bs);
-    // The i-th surviving disk's run lends view slots [i*kChunk, ...).
-    std::vector<const std::uint8_t*> view(static_cast<std::size_t>(kChunk) *
-                                          nsrc);
-    std::vector<const std::uint8_t*> srcs(nsrc);
-    std::vector<BlockAddr> addrs;
-    for (std::int64_t b0 = 0; b0 < total; b0 += kChunk) {
-      const std::int64_t m = std::min(kChunk, total - b0);
-      bool batched = true;
-      std::size_t s = 0;
-      for (int o = 0; o < m_ && batched; ++o) {
-        if (o == d) continue;
-        batched = array_
-                      .view_blocks(o, b0,
-                                   std::span(view).subspan(
-                                       s++ * static_cast<std::size_t>(kChunk),
-                                       static_cast<std::size_t>(m)))
-                      .ok();
-      }
-      if (batched) {
-        for (std::int64_t k = 0; k < m; ++k) {
-          for (std::size_t i = 0; i < nsrc; ++i) {
-            srcs[i] = view[i * static_cast<std::size_t>(kChunk) +
-                           static_cast<std::size_t>(k)];
-          }
-          xor_accumulate(out.block(static_cast<std::size_t>(k), bs), srcs);
-        }
-        batched = array_
-                      .write_blocks(d, b0, m,
-                                    out.span().subspan(
-                                        0, static_cast<std::size_t>(m) * bs))
-                      .ok();
-      }
-      if (!batched) {
-        for (std::int64_t b = b0; b < b0 + m; ++b) {
-          addrs.clear();
-          for (int o = 0; o < m_; ++o) {
-            if (o != d) addrs.push_back({o, b});
-          }
-          IoCounters c;
-          if (!xor_chain_read(array_, addrs, out.block(0, bs), retry_, &c)
-                   .ok() ||
-              !write_block_retry(array_, d, b, out.block(0, bs), retry_, &c)
-                   .ok()) {
-            throw std::runtime_error("rebuild_failed_disks: disk " +
-                                     std::to_string(d) +
-                                     " not reconstructible");
-          }
-          std::lock_guard sk(stats_mu_);
-          stats_.retries += c.retries;
-          stats_.backoff_us += c.backoff_us;
-        }
-      }
-      rebuilt += m;
-    }
-    return rebuilt;
-  }
-
-  if (failed.size() == 1 && failed[0] == new_disk_) {
-    // The diagonal column is a pure function of the data: regenerate.
-    array_.repair_disk(new_disk_);
-    for (std::int64_t g = 0; g < groups_done_.load(); ++g) {
-      IoCounters c;
-      const IoResult r = generate_diags(g, 0, p - 1, c);
-      account(c, /*conversion=*/true);
-      if (!r.ok()) {
-        throw std::runtime_error(
-            "rebuild_failed_disks: diagonal column not regenerable");
-      }
-      rebuilt += p - 1;
-    }
-    return rebuilt;
-  }
-
-  if (failed.size() == 2 && state_ == MigrationState::kDone) {
-    // Double failure after conversion: Algorithm 1 over every group.
-    for (int d : failed) array_.repair_disk(d);
-    PooledBuffer stripe(static_cast<std::size_t>(code_.cell_count()) * bs);
-    for (std::int64_t g = 0; g < groups_; ++g) {
-      StripeView v(stripe.span(), p - 1, p, bs);
-      load_raw_stripe(array_, code_, 0, g * (p - 1), v);
-      if (!code_.decode_columns(v, failed).has_value()) {
-        throw std::runtime_error("rebuild_failed_disks: group " +
-                                 std::to_string(g) + " not decodable");
-      }
-      for (int d : failed) {
-        for (int r = 0; r <= p - 2; ++r) {
-          IoCounters c;
-          if (!write_block_retry(array_, d, g * (p - 1) + r,
-                                 v.block({r, d}), retry_, &c)
-                   .ok()) {
-            throw std::runtime_error("rebuild_failed_disks: rewrite failed");
-          }
-          ++rebuilt;
-        }
-      }
-    }
-    return rebuilt;
-  }
-
-  throw std::runtime_error(
-      "rebuild_failed_disks: failure pattern exceeds what the current "
-      "migration state can reconstruct");
+  for (int d : failed) rebuilt += ctrl_->rebuild_disk(d);
+  const ArrayController::IoTally t1 = ctrl_->io_tally();
+  std::lock_guard sk(stats_mu_);
+  rebuild_io_.reads += t1.reads - t0.reads;
+  rebuild_io_.writes += t1.writes - t0.writes;
+  return rebuilt;
 }
 
 bool OnlineMigrator::verify_raid6() const {
   std::unique_lock ops(ops_mu_);  // a consistent snapshot of every group
-  const int p = code_.p();
-  const std::size_t bs = array_.block_bytes();
-  PooledBuffer stripe(static_cast<std::size_t>(code_.cell_count()) * bs);
-  for (std::int64_t g = 0; g < groups_; ++g) {
-    StripeView v(stripe.span(), p - 1, p, bs);
-    load_raw_stripe(array_, code_, 0, g * (p - 1), v);
-    if (!code_.verify(v)) return false;
-  }
-  return true;
+  return ctrl_->scrub().empty();
 }
 
 int OnlineMigrator::revert_to_raid5() {

@@ -9,35 +9,41 @@
 //     per worker; a worker that drains its range steals whole groups
 //     from the tail of the fullest remaining range, so each group is
 //     always generated by exactly one owner;
-//   * the application path, called from any thread. Reads never
-//     conflict with the conversion (only the new disk is written).
-//     Every write — write_block and the sub-block write_range alike —
-//     runs one update body over its byte range: it interrupts the
-//     conversion workers, read-modify-writes that range of the
-//     horizontal parity — and of the diagonal parity too, when the
-//     block's diagonal chain has already been generated — and then
-//     lets the conversion resume, exactly as the paper's algorithm
-//     describes. A whole-block write is the range [0, block_bytes).
+//   * the application path, called from any thread. It is an
+//     ArrayController over Code 5-6 — the controller's one write
+//     planner, not a second implementation. A group the conversion has
+//     not generated yet is a stripe whose diagonal column is absent
+//     (the controller's AbsentColumns callback), so its horizontal
+//     chains are exactly the RAID-5 row XOR: a block write costs 2
+//     reads + 2 writes there, and 3 + 3 (Table III's 6) in a converted
+//     group. Every request passes one gate (serve()): a write first
+//     interrupts the conversion workers between group steps, exactly
+//     as Algorithm 2 describes; the request then runs under the shared
+//     ops gate and the controller's stripe lock, which is also the lock
+//     a group step holds.
 //
 // Fault tolerance (the behaviour Table VI's risk model quantifies):
 // both flows degrade under injected faults instead of crashing.
 // Transient sector errors and torn writes are retried with bounded
-// exponential backoff; a failed source disk is read through the RAID-5
-// horizontal parity (reconstruct-on-read) while the conversion keeps
-// going; unrecoverable patterns (a second concurrent failure) drive the
+// exponential backoff (one RetryPolicy, shared with the controller); a
+// failed source disk is read through the RAID-5 horizontal parity
+// (reconstruct-on-read) while the conversion keeps going; a write that
+// does not land is counted in OnlineStats::degraded_writes;
+// unrecoverable patterns (a second concurrent failure) drive the
 // migration into a terminal kAborted state with a reason string.
 //
 // The unit of conversion is one stripe group: a worker borrows the
 // group's data cells in place with one or two counted view runs per
 // source column (no staging copy), folds every diagonal row straight
-// from them and writes the diagonal column with one run, all under one
-// group lock, which keeps the borrowed blocks stable while they are
-// folded. Writers preempt the workers between group steps. An attached
+// from them and writes the diagonal column with one run, all under the
+// group's stripe lock, which keeps the borrowed blocks stable while
+// they are folded; the group is marked converted under the same lock.
+// Writers preempt the workers between group steps. An attached
 // CheckpointSink journals the contiguous-prefix watermark as each group
 // completes, so a killed migration resumes idempotently via resume(),
 // re-verifying the watermark group before continuing (a journal that
-// names diagonal rows inside a group, as row-granular builds wrote,
-// resumes that group's step at that row).
+// names diagonal rows inside a group, as row-granular builds wrote, is
+// re-verified and logged, and that group is regenerated whole).
 //
 // The RAID-6 -> RAID-5 direction is the trivial Step 1-2 of the
 // algorithm: verify the geometry and drop the last column.
@@ -56,6 +62,7 @@
 #include <vector>
 
 #include "codes/code56.hpp"
+#include "migration/controller.hpp"
 #include "migration/degraded.hpp"
 #include "migration/disk_array.hpp"
 #include "migration/journal.hpp"
@@ -71,8 +78,9 @@ struct OnlineStats {
   std::uint64_t interruptions = 0;  // writes that preempted the converter
   std::uint64_t retries = 0;        // transient-error retries (both flows)
   std::uint64_t reconstructed_reads = 0;  // reads served through parity
-  std::uint64_t degraded_writes = 0;      // block updates skipped on a
-                                          // failed disk (covered by parity)
+  std::uint64_t degraded_writes = 0;      // block writes that did not
+                                          // land (failed disk or retries
+                                          // exhausted)
   std::uint64_t backoff_us = 0;  // time spent sleeping between retries
 };
 
@@ -87,17 +95,15 @@ enum class MigrationState : std::uint8_t {
 const char* to_string(MigrationState s) noexcept;
 
 /// Which parity families of a stripe group a scrub may trust, derived
-/// from the group's conversion progress (the journal-watermark picture:
-/// groups the conversion has passed hold both families, groups it has
-/// not reached still hold only the source RAID-5's horizontal rows, and
-/// the group it is inside is deferred to the next pass).
+/// from the journal watermark: groups below it hold both families; the
+/// others are trusted for the source RAID-5's horizontal rows only,
+/// even when a worker already converted them out of order (a group
+/// step runs under the stripe lock a scrub takes, so no group is seen
+/// half generated).
 enum class TrustDomain : std::uint8_t {
-  kBothFamilies,    // diagonal column fully generated: cross-check both
+  kBothFamilies,    // diagonal column generated: cross-check both
   kHorizontalOnly,  // unconverted: only the RAID-5 rows XOR to zero
-  kDeferred,        // diagonal generation in flight: skip this pass
 };
-
-const char* to_string(TrustDomain d) noexcept;
 
 class OnlineMigrator {
  public:
@@ -120,7 +126,8 @@ class OnlineMigrator {
   /// Journal the converter position through `sink` (kept by reference;
   /// must outlive the migrator). Call before start()/resume().
   void attach_journal(CheckpointSink& sink);
-  /// Retry/backoff policy for transient I/O errors (both flows).
+  /// Retry/backoff policy for transient I/O errors (both flows; the
+  /// controller reads this same policy).
   void set_retry_policy(const RetryPolicy& policy);
   /// Conversion worker threads used by the next start()/resume().
   /// Defaults to 1, or to $C56_CONVERT_WORKERS when set at construction
@@ -152,9 +159,9 @@ class OnlineMigrator {
 
   /// Scrub coordination: run `fn` with stripe group `group` locked
   /// against application I/O and the conversion workers (shared ops
-  /// gate + group lock — the same order every I/O path here takes),
-  /// passing the trust domain derived from the group's conversion
-  /// progress. `fn` may read the group's blocks and rewrite cells a
+  /// gate + the controller's stripe lock — the same order every I/O
+  /// path here takes), passing the trust domain derived from the
+  /// watermark. `fn` may read the group's blocks and rewrite cells a
   /// repair located (counted or raw I/O), but must not call back into
   /// this migrator. Safe to call concurrently with the conversion and
   /// with application I/O.
@@ -164,21 +171,27 @@ class OnlineMigrator {
   /// Why the migration aborted (empty unless state() == kAborted).
   std::string abort_reason() const;
 
-  /// Application I/O on logical data blocks (RAID-5 data addressing;
-  /// safe to call concurrently with the conversion and with itself).
-  /// Degrades through parity when disks are failed; the result reports
+  /// The application-I/O gate: run `fn` against the migrator's
+  /// controller (logical blocks in RAID-5 data addressing, which is the
+  /// controller's too). A write (`write` true) first preempts the
+  /// conversion workers (Algorithm 2); the call runs under the shared
+  /// ops gate. A controller IoError becomes the returned failure and,
+  /// for a write, aborts a running conversion (the block is lost).
+  /// Validation errors (std::logic_error) propagate.
+  IoResult serve(bool write, const std::function<void(ArrayController&)>& fn);
+
+  /// Front ends of serve() for one logical block (safe to call
+  /// concurrently with the conversion and with themselves). They
+  /// degrade through parity when disks are failed; the result reports
   /// unrecoverable faults.
   IoResult read_block(std::int64_t logical, std::span<std::uint8_t> out);
   IoResult write_block(std::int64_t logical, std::span<const std::uint8_t> in);
 
   /// Sub-block application write: replace bytes [offset, offset +
-  /// in.size()) of the logical block, delta-updating only that byte
-  /// range of the horizontal parity and — under the conversion
-  /// watermark's trust-domain rule — of the diagonal parity. Every
-  /// parity chain is bytewise, so the delta applies at the same
-  /// intra-block offset in each parity. write_block is the full-block
-  /// range of the same update body. A zero-length range is a validated
-  /// no-op; a range outside the block throws out_of_range.
+  /// in.size()) of the logical block through the controller's delta
+  /// plane (only that byte range of each live parity moves).
+  /// write_range(l, 0, block) is write_block(l). A zero-length range is
+  /// a validated no-op; a range outside the block throws out_of_range.
   IoResult write_range(std::int64_t logical, std::size_t offset,
                        std::span<const std::uint8_t> in);
 
@@ -191,8 +204,10 @@ class OnlineMigrator {
   }
 
   /// Record lifecycle and degraded-path events (start/resume/stop,
-  /// abort reason, journal rewinds, reconstructed reads, degraded
-  /// writes) into `log`, tagged with `migration_id` for correlation.
+  /// abort reason, journal rewinds, reconstructed reads, and the
+  /// controller's degraded writes) into `log`, tagged with
+  /// `migration_id` for correlation (the controller's are category
+  /// "controller").
   /// Call before start()/resume(); `log` is kept by reference and must
   /// outlive the migrator. Without this call the migrator emits
   /// nothing.
@@ -208,9 +223,11 @@ class OnlineMigrator {
   void detach_metrics() { metrics_handle_.remove(); }
 
   /// Reconstruct every block of every failed disk in place and mark the
-  /// disks healthy again (source disks through the horizontal parity or
-  /// — for double failures after conversion — Algorithm 1; the new disk
-  /// by regenerating its diagonal column). Returns blocks rebuilt.
+  /// disks healthy again, through the controller's rebuild_disk (a
+  /// source disk from the horizontal parity or, in converted groups,
+  /// either family; the new disk from the data; two disks only after
+  /// conversion). Returns blocks rebuilt; throws runtime_error for a
+  /// pattern the migration state cannot reconstruct.
   std::int64_t rebuild_failed_disks();
 
   /// Post-conversion check: every stripe group satisfies all Code 5-6
@@ -223,18 +240,11 @@ class OnlineMigrator {
   int revert_to_raid5();
 
  private:
-  struct Locus {  // physical location of a logical data block
-    int disk;
-    std::int64_t block;
-    int group;      // stripe group
-    int row;        // row within the group (== target stripe row)
-  };
   struct WorkerRange {  // unclaimed groups [lo, hi) of one worker
     std::mutex mu;
     std::int64_t lo = 0;
     std::int64_t hi = 0;
   };
-  Locus locate(std::int64_t logical) const;
   /// Zeroed image for the new disk if it does not exist yet (empty
   /// otherwise); built before start()/resume() take the exclusive gate,
   /// so that gate covers only the table insert.
@@ -242,15 +252,14 @@ class OnlineMigrator {
   void worker_entry(int w);
   void conversion_worker(int w);
   /// One conversion step of worker `w`: wait out pending application
-  /// writes, then generate diagonal rows [first_row, p-1) of group `g`
-  /// under the shared ops gate and the group lock, and publish the
-  /// group as done. False when the worker must exit (stop, abort).
-  bool convert_group(int w, std::int64_t g, int first_row);
+  /// writes, then generate the diagonal column of group `g` under the
+  /// shared ops gate and the group's stripe lock, and mark the group
+  /// converted. False when the worker must exit (stop, abort).
+  bool convert_group(int w, std::int64_t g);
   /// Next group for worker `w`: front of its own range, else the tail
   /// of the fullest other range (work stealing); -1 when drained.
   std::int64_t claim_group(int w);
-  /// Advance the journalled watermark after every diagonal row of
-  /// `group` is durable.
+  /// Advance the journalled watermark after `group` is converted.
   void note_progress(std::int64_t group);
   void launch_locked();
   void abort_locked(std::string reason);
@@ -265,7 +274,7 @@ class OnlineMigrator {
   /// a run's faulting block on, blocks go through read_source into a
   /// pooled arena. The borrowed views live only inside this call, and
   /// the caller must hold the exclusion that orders writes to the
-  /// group's source blocks: the group's lock, or the exclusive ops gate.
+  /// group's source blocks: its stripe lock, or the exclusive ops gate.
   IoResult fold_diags(std::int64_t group, int lo, int hi,
                       std::span<std::uint8_t> out, IoCounters& c);
   /// fold_diags, then store the rows on the new disk with one write run
@@ -273,21 +282,13 @@ class OnlineMigrator {
   /// locking contract as fold_diags.
   IoResult generate_diags(std::int64_t group, int lo, int hi,
                           IoCounters& c);
-  /// Read bytes [offset, offset + out.size()) of a source-array block
-  /// (ranged read with retry), falling back to a whole-block
-  /// reconstruction through the RAID-5 horizontal parity when the disk
-  /// is failed or the range unreadable. Attempts tally into `c`;
-  /// `conversion` only labels the reconstruction event.
-  IoResult read_source(int disk, std::int64_t block, std::size_t offset,
-                       std::span<std::uint8_t> out, IoCounters& c,
-                       bool conversion);
-  /// The application write body behind write_block and write_range.
-  IoResult update(std::int64_t logical, std::size_t offset,
-                  std::span<const std::uint8_t> in);
-  /// Fold one operation's attempts into OnlineStats (reads and writes
-  /// land in the conversion or the application columns).
-  void account(const IoCounters& c, bool conversion,
-               std::uint64_t degraded_writes = 0);
+  /// Conversion read of a source-array block with retry, falling back
+  /// to a reconstruction through the RAID-5 horizontal parity when the
+  /// disk is failed or the block unreadable. Attempts tally into `c`.
+  IoResult read_source(int disk, std::int64_t block,
+                       std::span<std::uint8_t> out, IoCounters& c);
+  /// Fold one conversion operation's attempts into OnlineStats.
+  void account(const IoCounters& c);
   /// First diagonal row of `group` in [0, upto) whose stored parity
   /// does not match a recomputation (upto if all match, 0 if the chains
   /// cannot be read). Callers must exclude concurrent I/O (resume path).
@@ -300,9 +301,6 @@ class OnlineMigrator {
                   std::int64_t group = -1, int worker = -1, int disk = -1,
                   std::int64_t block = -1,
                   const char* rate_key = nullptr) const;
-  std::mutex& group_lock(std::int64_t g) const {
-    return group_locks_[static_cast<std::size_t>(g) % kGroupLockStripes];
-  }
 
   DiskArray& array_;
   Code56 code_;
@@ -311,12 +309,11 @@ class OnlineMigrator {
   int new_disk_ = -1;
 
   // Lock order: ops_mu_ (shared for app I/O and converter steps,
-  // exclusive for resume/rebuild/verify) -> group_lock(g) (block data
-  // and rows_done_[g] of one stripe group) -> at most one leaf of
-  // {mu_, stats_mu_, progress_mu_}. Leaves never nest in each other.
+  // exclusive for start/resume/rebuild/verify) -> the controller's
+  // stripe lock of group g (block data and converted_[g]) -> at most
+  // one leaf of {mu_, stats_mu_, progress_mu_}. Leaves never nest in
+  // each other.
   mutable std::shared_mutex ops_mu_;
-  static constexpr std::size_t kGroupLockStripes = 64;
-  mutable std::array<std::mutex, kGroupLockStripes> group_locks_;
   mutable std::mutex mu_;           // state machine + preemption cv
   mutable std::mutex stats_mu_;     // OnlineStats counters
   mutable std::mutex progress_mu_;  // watermark advance + journal
@@ -327,15 +324,13 @@ class OnlineMigrator {
   std::atomic<bool> stop_requested_{false};
   std::atomic<int> active_workers_{0};
 
-  // Conversion progress. rows_done_[g] counts the diagonal rows of
-  // group g already on the new disk (stored with release order by the
-  // group's owner under its group lock: 0 or p-1, apart from a group a
-  // resume re-entered mid-way); groups_done_ is the contiguous-prefix
+  // Conversion progress. converted_[g]: group g's diagonal column is
+  // on the new disk (stored with release order by the group's owner
+  // under its stripe lock); groups_done_ is the contiguous-prefix
   // watermark that the journal checkpoints.
   std::atomic<std::int64_t> groups_done_{0};
-  std::unique_ptr<std::atomic<int>[]> rows_done_;
+  std::unique_ptr<std::atomic<bool>[]> converted_;
   std::int64_t start_group_ = 0;  // conversion entry point
-  int start_row_ = 0;
 
   int workers_requested_ = 1;
   std::vector<std::unique_ptr<WorkerRange>> ranges_;
@@ -350,7 +345,12 @@ class OnlineMigrator {
   RetryPolicy retry_;
   std::optional<MigrationJournal> journal_;
 
-  OnlineStats stats_;
+  // The application-I/O plane: Code 5-6 over array_, the diagonal
+  // column absent in every unconverted group.
+  std::unique_ptr<ArrayController> ctrl_;
+
+  OnlineStats stats_;  // conversion side; stats() adds ctrl_'s tally
+  IoCounters rebuild_io_;  // ctrl_'s tally spent by rebuilds (stats_mu_)
 
   // Per-worker conversion progress (updated only while
   // obs::metrics_enabled(); indices follow worker launch order).

@@ -178,11 +178,6 @@ PassReport Scrubber::run_pass() {
           s, [&] { scan_locked(s, base, locator_.all_chains(), rep); });
     } else {
       mig_->scrub_group(s, [&](mig::TrustDomain td) {
-        if (td == mig::TrustDomain::kDeferred) {
-          ++rep.deferred;
-          deferred_.inc();
-          return;
-        }
         const std::vector<int>& trusted =
             td == mig::TrustDomain::kBothFamilies
                 ? locator_.all_chains()

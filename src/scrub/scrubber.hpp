@@ -10,13 +10,13 @@
 //    ArrayController::with_stripe_lock, the same per-stripe mutex every
 //    controller write path takes, and all parity chains are trusted;
 //  * migration mode — each stripe group is scanned under
-//    OnlineMigrator::scrub_group (shared ops gate + group lock), which
-//    also reports the group's TrustDomain: converted groups cross-check
-//    both parity families, unconverted groups trust only the RAID-5
-//    horizontal rows (location is information-theoretically impossible
-//    there — every row mate has the same single-chain membership — so
-//    corruption is detected and reported ambiguous, never mis-repaired),
-//    and the group the conversion is inside is deferred to a later pass.
+//    OnlineMigrator::scrub_group (shared ops gate + the group's stripe
+//    lock, which a conversion step holds too), which also reports the
+//    group's TrustDomain: converted groups cross-check both parity
+//    families, unconverted groups trust only the RAID-5 horizontal rows
+//    (location is information-theoretically impossible there — every
+//    row mate has the same single-chain membership — so corruption is
+//    detected and reported ambiguous, never mis-repaired).
 //
 // A repair recomputes the located cell from the trusted family via the
 // GF(2) solver, rewrites it through counted DiskArray I/O (so a repair

@@ -51,6 +51,27 @@ void cover(std::map<std::int64_t, std::int64_t>& m, std::int64_t lo,
   if (!inserted) it->second = std::max(it->second, hi);
 }
 
+/// Per-thread executor scratch (a volume executes on its shard's
+/// thread): the vectors keep their capacity between batches.
+struct Scratch {
+  std::vector<QueuedOp*> writes, reads, gen, sub_ops;
+  std::vector<mig::ArrayController::SubWrite> subs;
+};
+
+Scratch& scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
+/// Stable sort by logical block (same-block ops keep submission
+/// order); a batch often arrives sorted already.
+void sort_by_block(std::span<QueuedOp*> ops) {
+  const auto key = [](const QueuedOp* o) { return o->req.logical; };
+  if (!std::ranges::is_sorted(ops, {}, key)) {
+    std::ranges::stable_sort(ops, {}, key);
+  }
+}
+
 }  // namespace
 
 const char* to_string(Status s) noexcept {
@@ -114,26 +135,28 @@ Status Volume::validate(const Request& r) const noexcept {
   return Status::kInvalidArgument;
 }
 
-void Volume::execute(std::span<QueuedOp> ops) {
-  if (mig_) {
-    execute_migrator(ops);
-  } else {
-    execute_controller(ops);
-  }
-  for (const QueuedOp& op : ops) {
-    ops_.inc();
-    blocks_.inc(static_cast<std::uint64_t>(
-        (op.req.kind == OpKind::kRead || op.req.kind == OpKind::kWrite)
-            ? op.req.count
-            : 1));
-    if (op.result != Status::kOk) errors_.inc();
+template <class Fn>
+Status Volume::run(bool write, Fn&& fn) {
+  try {
+    if (mig_) {
+      return mig_->serve(write, [&fn](mig::ArrayController& c) { fn(c); })
+                     .ok()
+                 ? Status::kOk
+                 : Status::kIoError;
+    }
+    fn(*ctrl_);
+    return Status::kOk;
+  } catch (const std::exception&) {
+    return Status::kIoError;
   }
 }
 
-void Volume::execute_controller(std::span<QueuedOp> ops) {
-  std::vector<QueuedOp*> writes;
-  std::vector<QueuedOp*> reads;
-  writes.reserve(ops.size());
+void Volume::execute(std::span<QueuedOp> ops) {
+  Scratch& s = scratch();
+  std::vector<QueuedOp*>& writes = s.writes;
+  std::vector<QueuedOp*>& reads = s.reads;
+  writes.clear();
+  reads.clear();
   for (QueuedOp& op : ops) {
     (is_write(op) ? writes : reads).push_back(&op);
   }
@@ -144,8 +167,8 @@ void Volume::execute_controller(std::span<QueuedOp> ops) {
   // already applies in batch (= submission) order.
   std::map<std::int64_t, std::int64_t> any;    // every write interval
   std::map<std::int64_t, std::int64_t> whole;  // whole-block intervals
-  std::vector<QueuedOp*> gen;
-  gen.reserve(writes.size());
+  std::vector<QueuedOp*>& gen = s.gen;
+  gen.clear();
   for (QueuedOp* op : writes) {
     const bool whole_block = op->req.kind == OpKind::kWrite;
     const std::int64_t lo = op->req.logical;
@@ -162,30 +185,31 @@ void Volume::execute_controller(std::span<QueuedOp> ops) {
   }
   run_write_generation(gen);
   run_reads(reads);
+  for (const QueuedOp& op : ops) {
+    ops_.inc();
+    blocks_.inc(static_cast<std::uint64_t>(
+        (op.req.kind == OpKind::kRead || op.req.kind == OpKind::kWrite)
+            ? op.req.count
+            : 1));
+    if (op.result != Status::kOk) errors_.inc();
+  }
 }
 
 void Volume::run_write_generation(std::span<QueuedOp*> gen) {
   if (gen.empty()) return;
-  // Stable: same-block sub-writes keep submission order.
-  std::stable_sort(gen.begin(), gen.end(),
-                   [](const QueuedOp* a, const QueuedOp* b) {
-                     return a->req.logical < b->req.logical;
-                   });
+  sort_by_block(gen);
 
   // Scattered singles and sub-block writes pool into one batched
   // write_range: the controller coalesces their parity RMWs per
   // stripe, so even non-adjacent blocks amortize under load.
-  std::vector<mig::ArrayController::SubWrite> subs;
-  std::vector<QueuedOp*> sub_ops;
+  std::vector<mig::ArrayController::SubWrite>& subs = scratch().subs;
+  std::vector<QueuedOp*>& sub_ops = scratch().sub_ops;
   const auto flush_subs = [&] {
     if (subs.empty()) return;
-    Status st = Status::kOk;
-    try {
-      ctrl_->write_range(std::span<const mig::ArrayController::SubWrite>(
+    const Status st = run(true, [&](mig::ArrayController& c) {
+      c.write_range(std::span<const mig::ArrayController::SubWrite>(
           subs.data(), subs.size()));
-    } catch (const std::exception&) {
-      st = Status::kIoError;
-    }
+    });
     for (QueuedOp* o : sub_ops) o->result = st;
     subs.clear();
     sub_ops.clear();
@@ -219,22 +243,22 @@ void Volume::run_write_generation(std::span<QueuedOp*> gen) {
       continue;
     }
     Status st = Status::kOk;
-    try {
-      if (j == i) {
-        ctrl_->write(op->req.logical, total, op->req.in);
-      } else {
-        PooledBuffer staging(static_cast<std::size_t>(total) * bs);
-        std::size_t off = 0;
-        for (std::size_t k = i; k <= j; ++k) {
-          const auto& in = gen[k]->req.in;
-          std::memcpy(staging.data() + off, in.data(), in.size());
-          off += in.size();
-        }
-        ctrl_->write(op->req.logical, total, staging.span());
-        coalesced_runs_.inc();
+    if (j == i) {
+      st = run(true, [&](mig::ArrayController& c) {
+        c.write(op->req.logical, total, op->req.in);
+      });
+    } else {
+      PooledBuffer staging(static_cast<std::size_t>(total) * bs);
+      std::size_t off = 0;
+      for (std::size_t k = i; k <= j; ++k) {
+        const auto& in = gen[k]->req.in;
+        std::memcpy(staging.data() + off, in.data(), in.size());
+        off += in.size();
       }
-    } catch (const std::exception&) {
-      st = Status::kIoError;
+      st = run(true, [&](mig::ArrayController& c) {
+        c.write(op->req.logical, total, staging.span());
+        coalesced_runs_.inc();
+      });
     }
     for (std::size_t k = i; k <= j; ++k) gen[k]->result = st;
     i = j + 1;
@@ -244,21 +268,15 @@ void Volume::run_write_generation(std::span<QueuedOp*> gen) {
 
 void Volume::run_reads(std::span<QueuedOp*> reads) {
   if (reads.empty()) return;
-  std::stable_sort(reads.begin(), reads.end(),
-                   [](const QueuedOp* a, const QueuedOp* b) {
-                     return a->req.logical < b->req.logical;
-                   });
+  sort_by_block(reads);
   const std::size_t bs = block_bytes();
   std::size_t i = 0;
   while (i < reads.size()) {
     QueuedOp* op = reads[i];
     if (op->req.kind == OpKind::kReadRange) {
-      try {
-        ctrl_->read_range(op->req.logical, op->req.offset, op->req.out);
-        op->result = Status::kOk;
-      } catch (const std::exception&) {
-        op->result = Status::kIoError;
-      }
+      op->result = run(false, [&](mig::ArrayController& c) {
+        c.read_range(op->req.logical, op->req.offset, op->req.out);
+      });
       ++i;
       continue;
     }
@@ -272,68 +290,25 @@ void Volume::run_reads(std::span<QueuedOp*> reads) {
       total += reads[j]->req.count;
     }
     Status st = Status::kOk;
-    try {
-      if (j == i) {
-        ctrl_->read(op->req.logical, total, op->req.out);
-      } else {
-        PooledBuffer staging(static_cast<std::size_t>(total) * bs);
-        ctrl_->read(op->req.logical, total, staging.span());
+    if (j == i) {
+      st = run(false, [&](mig::ArrayController& c) {
+        c.read(op->req.logical, total, op->req.out);
+      });
+    } else {
+      PooledBuffer staging(static_cast<std::size_t>(total) * bs);
+      st = run(false, [&](mig::ArrayController& c) {
+        c.read(op->req.logical, total, staging.span());
         coalesced_runs_.inc();
-        std::size_t off = 0;
-        for (std::size_t k = i; k <= j; ++k) {
-          auto out = reads[k]->req.out;
-          std::memcpy(out.data(), staging.data() + off, out.size());
-          off += out.size();
-        }
+      });
+      std::size_t off = 0;
+      for (std::size_t k = i; k <= j && st == Status::kOk; ++k) {
+        auto out = reads[k]->req.out;
+        std::memcpy(out.data(), staging.data() + off, out.size());
+        off += out.size();
       }
-    } catch (const std::exception&) {
-      st = Status::kIoError;
     }
     for (std::size_t k = i; k <= j; ++k) reads[k]->result = st;
     i = j + 1;
-  }
-}
-
-void Volume::execute_migrator(std::span<QueuedOp> ops) {
-  // Migrator volumes execute strictly in queue order: the migrator's
-  // application path is per-block by design (it arbitrates with the
-  // conversion workers per stripe group), so there is nothing to
-  // coalesce, and order-preservation is free.
-  const std::size_t bs = block_bytes();
-  for (QueuedOp& op : ops) {
-    mig::IoResult r = mig::IoResult::success();
-    switch (op.req.kind) {
-      case OpKind::kRead:
-        for (std::int64_t b = 0; b < op.req.count && r.ok(); ++b) {
-          r = mig_->read_block(
-              op.req.logical + b,
-              op.req.out.subspan(static_cast<std::size_t>(b) * bs, bs));
-        }
-        break;
-      case OpKind::kWrite:
-        for (std::int64_t b = 0; b < op.req.count && r.ok(); ++b) {
-          r = mig_->write_block(
-              op.req.logical + b,
-              op.req.in.subspan(static_cast<std::size_t>(b) * bs, bs));
-        }
-        break;
-      case OpKind::kWriteRange:
-        r = mig_->write_range(op.req.logical,
-                              static_cast<std::size_t>(op.req.offset),
-                              op.req.in);
-        break;
-      case OpKind::kReadRange: {
-        PooledBuffer block(bs);
-        r = mig_->read_block(op.req.logical, block.span());
-        if (r.ok()) {
-          std::memcpy(op.req.out.data(),
-                      block.data() + static_cast<std::size_t>(op.req.offset),
-                      op.req.out.size());
-        }
-        break;
-      }
-    }
-    op.result = r.ok() ? Status::kOk : Status::kIoError;
   }
 }
 

@@ -2,9 +2,10 @@
 // One hosted volume of the block service: a DiskArray plus either an
 // ArrayController (any code in the zoo — the steady-state RAID-6
 // volume) or an OnlineMigrator (a RAID-5 volume that can start its
-// Code 5-6 conversion mid-traffic; application I/O rides the
-// migrator's watermark-aware paths from the first request, so start()
-// needs no quiesce).
+// Code 5-6 conversion mid-traffic; start() needs no quiesce). Both
+// kinds share one executor: a migrator volume's requests run on the
+// migrator's own controller, each controller call through the
+// migrator's application-I/O gate (OnlineMigrator::serve).
 //
 // execute() is the batch executor behind the shard event loop's
 // queue-depth-aware batching. It receives one drained slice of this
@@ -95,7 +96,8 @@ class Volume {
   std::int64_t logical_blocks() const noexcept { return logical_blocks_; }
 
   mig::DiskArray& array() noexcept { return *array_; }
-  /// Null for migrator-backed volumes.
+  /// Null for migrator-backed volumes (their controller is reached only
+  /// through the migrator's gate, and serves an unconverted RAID-5).
   mig::ArrayController* controller() noexcept { return ctrl_.get(); }
   /// Null for controller-backed volumes.
   mig::OnlineMigrator* migrator() noexcept { return mig_.get(); }
@@ -125,8 +127,10 @@ class Volume {
   const obs::StageHistograms& stages() const noexcept { return stages_; }
 
  private:
-  void execute_controller(std::span<QueuedOp> ops);
-  void execute_migrator(std::span<QueuedOp> ops);
+  /// One controller call, on ctrl_ or through the migrator's gate; any
+  /// exception is an I/O error.
+  template <class Fn>
+  Status run(bool write, Fn&& fn);
   // One overlap-free generation of whole-block/sub-block writes,
   // sorted + coalesced here.
   void run_write_generation(std::span<QueuedOp*> gen);

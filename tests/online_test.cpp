@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <thread>
 
 #include "layout/raid.hpp"
 #include "migration/disk_array.hpp"
+#include "migration/journal.hpp"
 #include "migration/online.hpp"
 #include "util/rng.hpp"
 #include "xorblk/xor.hpp"
@@ -261,6 +264,90 @@ TEST(OnlineMigrator, MigratedArraySurvivesDoubleFailure) {
       ASSERT_TRUE(code.decode_columns(v, failed).has_value());
       EXPECT_TRUE(stripe == before) << "group " << g;
     }
+  }
+}
+
+/// Counted I/O of `fn` on `a`: reads, writes, read runs, write runs,
+/// read bytes, write bytes.
+std::array<std::uint64_t, 6> io_cost(const DiskArray& a,
+                                     const std::function<void()>& fn) {
+  const auto now = [&a] {
+    return std::array<std::uint64_t, 6>{
+        a.total_reads(),     a.total_writes(),     a.total_read_runs(),
+        a.total_write_runs(), a.total_read_bytes(), a.total_write_bytes()};
+  };
+  auto c = now();
+  fn();
+  const auto after = now();
+  for (std::size_t i = 0; i < c.size(); ++i) c[i] = after[i] - c[i];
+  return c;
+}
+
+/// Memory journal that calls `on_limit` at its `limit`-th record.
+class StopAtSink final : public CheckpointSink {
+ public:
+  StopAtSink(std::size_t limit, std::function<void()> on_limit)
+      : limit_(limit), on_limit_(std::move(on_limit)) {}
+  void write_slot(int slot, std::span<const std::uint8_t> bytes) override {
+    inner_.write_slot(slot, bytes);
+    if (++count_ == limit_) on_limit_();
+  }
+  std::vector<std::uint8_t> read_slot(int slot) override {
+    return inner_.read_slot(slot);
+  }
+
+ private:
+  MemoryCheckpointSink inner_;
+  std::size_t limit_;
+  std::size_t count_ = 0;
+  std::function<void()> on_limit_;
+};
+
+/// The application write price on the one I/O plane: an unconverted
+/// group (before start(), or past the watermark) is a RAID-5 stripe,
+/// 2 reads + 2 writes per block; a converted one pays Table III's 6.
+/// write_range(l, 0, block) is I/O-identical to write_block.
+TEST(MigratorWritePrice, RaidFivePriceUntilConvertedThenTableThree) {
+  for (const int p : {5, 7}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    const int m = p - 1;
+    const std::int64_t groups = 3;
+    DiskArray a(m, groups * (p - 1), kBlock);
+    fill_raid5(a, m, 0x9A1CE + static_cast<std::uint64_t>(p));
+    OnlineMigrator mig(a, p);
+    mig.set_workers(1);
+    const std::int64_t per_group = static_cast<std::int64_t>(p - 1) * (p - 2);
+    Rng rng(static_cast<std::uint64_t>(p));
+    Buffer buf(kBlock);
+    const auto expect_price = [&](std::int64_t lo, std::int64_t hi,
+                                  std::uint64_t ios) {
+      for (std::int64_t l = lo; l < hi; l += 3) {
+        rng.fill(buf.data(), kBlock);
+        const auto block = io_cost(
+            a, [&] { ASSERT_TRUE(mig.write_block(l, buf.span()).ok()); });
+        EXPECT_EQ(block[0], ios) << "reads, logical " << l;
+        EXPECT_EQ(block[1], ios) << "writes, logical " << l;
+        rng.fill(buf.data(), kBlock);
+        const auto range = io_cost(
+            a, [&] { ASSERT_TRUE(mig.write_range(l, 0, buf.span()).ok()); });
+        EXPECT_EQ(range, block) << "write_range I/O, logical " << l;
+      }
+    };
+    expect_price(0, mig.logical_blocks(), 2);  // before start()
+    // Stop after group 0's completion record (start() journals first).
+    StopAtSink sink(2, [&mig] { mig.request_stop(); });
+    mig.attach_journal(sink);
+    mig.start();
+    mig.finish();
+    ASSERT_EQ(mig.state(), MigrationState::kStopped);
+    ASSERT_EQ(mig.groups_done(), 1);
+    expect_price(0, per_group, 3);
+    expect_price(per_group, mig.logical_blocks(), 2);  // past the watermark
+    mig.resume();
+    mig.finish();
+    ASSERT_EQ(mig.state(), MigrationState::kDone);
+    expect_price(0, mig.logical_blocks(), 3);
+    EXPECT_TRUE(mig.verify_raid6());
   }
 }
 

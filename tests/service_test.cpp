@@ -440,6 +440,42 @@ TEST(Service, MigratorVolumeConvertsMidTraffic) {
   }
 }
 
+// One batch covering a whole stripe group of a pre-start migrator
+// volume runs as one ranged write on the migrator's controller: a
+// full-stripe write whose diagonal column is absent, so it pre-reads
+// nothing and writes each data and horizontal-parity block once.
+TEST(Service, MigratorVolumeBatchWritesAGroupWithoutPreReads) {
+  for (const int p : {5, 7}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    svc::VolumeManager mgr(manual_config(1, 4096));
+    const svc::VolumeId id = mgr.create_raid5_volume(p, 2, 512);
+    svc::Volume* vol = mgr.volume(id);
+    const std::int64_t per_group = static_cast<std::int64_t>(p - 1) * (p - 2);
+    std::deque<std::vector<std::uint8_t>> payloads;
+    for (std::int64_t l = 0; l < per_group; ++l) {
+      payloads.push_back(pattern(512, 0x7000 + static_cast<std::uint64_t>(l)));
+      Request r;
+      r.kind = OpKind::kWrite;
+      r.volume = id;
+      r.logical = l;
+      r.in = {payloads.back().data(), payloads.back().size()};
+      ASSERT_EQ(mgr.submit(r), Status::kOk);
+    }
+    const std::uint64_t r0 = vol->array().total_reads();
+    const std::uint64_t w0 = vol->array().total_writes();
+    mgr.drain();
+    EXPECT_EQ(vol->array().total_reads() - r0, 0u);
+    EXPECT_EQ(vol->array().total_writes() - w0,
+              static_cast<std::uint64_t>((p - 1) * (p - 1)));
+    EXPECT_EQ(vol->coalesced_runs(), 1u);
+    std::vector<std::uint8_t> got(512);
+    for (std::int64_t l = 0; l < per_group; ++l) {
+      ASSERT_TRUE(vol->migrator()->read_block(l, got).ok());
+      EXPECT_EQ(got, payloads[static_cast<std::size_t>(l)]) << "block " << l;
+    }
+  }
+}
+
 TEST(Service, MetricsExportCarriesVolumeTenantShardLabels) {
   obs::Registry reg;  // outlives the manager: volume collectors detach
                       // from the subsystems' destructors

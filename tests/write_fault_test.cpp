@@ -23,6 +23,7 @@
 #include "migration/controller.hpp"
 #include "migration/disk_array.hpp"
 #include "migration/fault.hpp"
+#include "obs/events.hpp"
 #include "util/rng.hpp"
 #include "xorblk/buffer.hpp"
 
@@ -177,6 +178,47 @@ TEST_P(WriteReadFaultSweep, ThrowsCleanlyOrSucceedsConsistently) {
       }
     }
   }
+}
+
+// A disk that dies inside a write run: the blocks before the death
+// land, the rest does not. The write still returns (parity keeps the
+// lost block recoverable), counts one degraded write and records one
+// warn event naming the disk and the block.
+TEST(DegradedWrite, DiskDeathInsideAWriteRunIsCountedOnce) {
+  auto code = make_code(CodeId::kCode56, 5);
+  const int rows = code->rows();
+  DiskArray a(code->cols(), rows, kBlock);
+  ArrayController ctrl(a, std::move(code));
+  obs::EventLog log;
+  log.set_stderr_echo(false);
+  ctrl.attach_events(log);
+  const std::int64_t total = ctrl.logical_blocks();
+  Buffer data(static_cast<std::size_t>(total) * kBlock);
+  Rng(0xDEAD).fill(data.data(), data.size());
+  // A full-stripe write issues no pre-reads and one run of `rows`
+  // blocks per column; disk 1 survives rows - 1 I/Os, so it dies on
+  // its run's last block.
+  const int d = 1;
+  FaultPlan plan;
+  plan.disk_failures.push_back(
+      {.disk = d, .after_ios = static_cast<std::uint64_t>(rows - 1)});
+  a.set_fault_plan(plan);
+  ctrl.write(0, total, data.span());
+  EXPECT_TRUE(a.disk_failed(d));
+  EXPECT_EQ(ctrl.io_tally().degraded_writes, 1u);
+  int events = 0;
+  for (const obs::Event& ev : log.snapshot()) {
+    events += ev.message.find("degraded write") != std::string::npos;
+    if (ev.message.find("degraded write") != std::string::npos) {
+      EXPECT_EQ(ev.disk, d);
+      EXPECT_EQ(ev.block, rows - 1);
+    }
+  }
+  EXPECT_EQ(events, 1);
+  // The lost block reads back through parity.
+  Buffer got(data.size());
+  ctrl.read(0, total, got.span());
+  EXPECT_TRUE(got == data);
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, WriteReadFaultSweep,
